@@ -85,6 +85,12 @@ def cmd_verify_theorem(ns) -> int:
     tasks = [(p, None, ns.seed) for p in ex_primes] + [
         (p, ns.samples, ns.seed) for p in sa_primes
     ]
+    if not tasks:
+        print(
+            "quartics verify-theorem: no prime > 3 up to --exhaustive-pmax or --sampled-pmax",
+            file=sys.stderr,
+        )
+        return 2
     if ns.threads > 1 and len(tasks) > 1:
         with Pool(ns.threads) as pool:
             results = pool.map(_verify_prime, tasks)

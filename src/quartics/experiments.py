@@ -25,12 +25,12 @@ from .forms import (
     format_form,
     in_family_X,
     invariants,
+    invariants_raw,
     is_R_soluble,
-    splitting_type_mod,
 )
 from .elliptic import S_MODULUS
 from .intfactor import FactorResult, factorize, is_prime, primes_below
-from .vectorized import box_coeff_array, closed_n_batch
+from .vectorized import Case, box_coeff_array, closed_n_batch
 
 __all__ = [
     "F0",
@@ -97,86 +97,89 @@ def box_sum(Q: int, r: int) -> BoxSumResult:
     """S(Q, r) = sum over squarefree q in [Q, 2Q] and nonzero f in rB of
     |Phi_hat_q(f)|, exactly.
 
-    The inner sum for a fixed q is an integer once scaled by q'^5
-    (q' = q with the 2- and 3-parts removed), so the double sum is a short
-    exact Fraction aggregation; per-prime |n| vectors over the box are
-    computed once and reused across moduli.
+    The box's integer invariants I and J are computed once.  For each prime
+    p > 3 dividing some q, closed_n_batch reduces them mod p and returns
+    |n| over the box, which every q divisible by p reuses, together with
+    each row's case; the cases of the family rows are all the in-family
+    sub-sums need of p.  The inner sum for a fixed q is an integer once
+    scaled by q'^5 (q' = q with the 2- and 3-parts removed), so the double
+    sum is a short exact Fraction aggregation.
     """
     if Q <= r:
         raise ValueError("Q > r required")
     qs = _squarefree_moduli(Q, 2 * Q)
     box = box_coeff_array(r)
-    nonzero = np.any(box, axis=1)
-    nz_count = int(nonzero.sum())
+    ij = invariants_raw(tuple(box.T))
+    zero_row = len(box) // 2  # the digits of the centre row are all r
 
+    fam_idx = _family_rows(r)
     q_parts = {q: sorted(p for p in factorize(q).factors if p > 3) for q in qs}
     absn: dict[int, np.ndarray] = {}
+    stays: dict[int, np.ndarray] = {}
+    cases = np.empty(len(box), dtype=np.int8)
     for q in qs:
         for p in q_parts[q]:
             if p not in absn:
-                absn[p] = np.abs(closed_n_batch(p, box))
+                n = closed_n_batch(p, box, ij, cases)
+                absn[p] = np.abs(n, out=n)
+                stays[p] = cases[fam_idx] <= Case.NONSPLIT_SQUARE
 
     total = Fraction(0)
     for q in qs:
         ps = q_parts[q]
         if not ps:
-            total += Fraction(nz_count)
+            total += Fraction(len(box) - 1)
             continue
         vec = absn[ps[0]]
         for p in ps[1:]:
             vec = vec * absn[p]
-        num = int(vec[nonzero].sum())
+        num = int(vec.sum()) - int(vec[zero_row])
         den = 1
         for p in ps:
             den *= p
         total += Fraction(num, den**5)
 
-    in_x, in_x_q5_one = _in_x_subsums(qs, q_parts, r, absn, box)
+    in_x, in_x_q5_one = _in_x_subsums(qs, q_parts, absn, fam_idx, stays)
     bound = r * r / Q + r**4 / Q**2 + r**5 / Q**2.5
     return BoxSumResult(Q, r, total, bound, in_x, in_x_q5_one)
 
 
-def _in_x_subsums(qs, q_parts, r, absn, box):
-    """Diagnostic split: the contribution of integral f in the singular
-    family, and its part where no prime of q leaves the family mod p."""
-    xs = sorted(family_x_forms_in_box(r) - {(0, 0, 0, 0, 0)})
-    if not xs:
-        return Fraction(0), Fraction(0)
+def _family_rows(r: int) -> np.ndarray:
+    """Row indices in box_coeff_array(r) of the nonzero integral forms of
+    the singular family."""
     side = 2 * r + 1
-    idx = np.array(
+    xs = sorted(family_x_forms_in_box(r) - {(0, 0, 0, 0, 0)})
+    return np.array(
         [sum((c + r) * side ** (4 - k) for k, c in enumerate(f)) for f in xs],
         dtype=np.int64,
     )
-    in_family_modp: dict[tuple[int, int], bool] = {}
 
-    def stays(fi, f, p) -> bool:
-        key = (fi, p)
-        hit = in_family_modp.get(key)
-        if hit is None:
-            c = tuple(v % p for v in f)
-            hit = not any(c) or splitting_type_mod(c, p).in_family_x
-            in_family_modp[key] = hit
-        return hit
 
+def _in_x_subsums(qs, q_parts, absn, fam_idx, stays):
+    """Diagnostic split of the box sum over the family rows fam_idx: their
+    whole contribution, and the part from the rows whose reduction mod
+    every prime p > 3 of q stays in family X, read from closed_n_batch's
+    case codes (stays[p], one flag per family row)."""
+    if not len(fam_idx):
+        return Fraction(0), Fraction(0)
     tot = Fraction(0)
     tot_q5 = Fraction(0)
     for q in qs:
         ps = q_parts[q]
         if not ps:
-            tot += Fraction(len(xs))
-            tot_q5 += Fraction(len(xs))
+            tot += Fraction(len(fam_idx))
+            tot_q5 += Fraction(len(fam_idx))
             continue
         den = 1
         for p in ps:
             den *= p
         den = den**5
-        nums = np.ones(len(xs), dtype=np.int64)
+        nums = np.ones(len(fam_idx), dtype=np.int64)
+        keep = np.ones(len(fam_idx), dtype=bool)
         for p in ps:
-            nums = nums * absn[p][idx]
+            nums = nums * absn[p][fam_idx]
+            keep &= stays[p]
         tot += Fraction(int(nums.sum()), den)
-        keep = np.array(
-            [all(stays(fi, f, p) for p in ps) for fi, f in zip(idx, xs)], dtype=bool
-        )
         tot_q5 += Fraction(int(nums[keep].sum()), den)
     return tot, tot_q5
 
@@ -250,14 +253,7 @@ def singular_lattice_count(r: int, method: str = "both") -> int:
         if (2 * r + 1) ** 5 > _METHOD_A_LIMIT:
             raise ValueError(f"box (2*{r}+1)^5 too large for the exhaustive scan")
         box = box_coeff_array(r)
-        a0, a1, a2, a3, a4 = (box[:, k] for k in range(5))
-        i = 12 * a0 * a4 - 3 * a1 * a3 + a2 * a2
-        j = (
-            72 * a0 * a2 * a4
-            + 9 * a1 * a2 * a3
-            - 27 * (a0 * a3 * a3 + a1 * a1 * a4)
-            - 2 * a2**3
-        )
+        i, j = invariants_raw(tuple(box.T))
         cand = box[4 * i**3 - j * j == 0]
         count_a = sum(
             1 for row in cand if in_family_X(QuarticForm.from_coeffs(row))

@@ -8,6 +8,8 @@ zero polynomial).  All functions are pure and safe for parallel use.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .intfactor import is_prime
 
 __all__ = [
@@ -33,9 +35,15 @@ def check_prime(p: int, min_exclusive: int = 1) -> int:
     """
     if not isinstance(p, int) or p <= min_exclusive:
         raise ValueError(f"prime > {min_exclusive} required, got {p!r}")
-    if not is_prime(p):
+    if not _is_prime_memo(p):
         raise ValueError(f"{p} is not prime")
     return p
+
+
+@lru_cache(maxsize=256)
+def _is_prime_memo(p: int) -> bool:
+    # scalar sweeps validate the same few primes once per form
+    return is_prime(p)
 
 
 def legendre(a: int, p: int) -> int:

@@ -6,17 +6,24 @@ over ~p^5-sized spaces.  All arithmetic is exact: int64 modular work plus
 BLAS float64 products whose integer operands stay far below 2^53.
 The scalar/vectorized agreement is itself part of the test suite.
 
-Memory discipline: all big intermediates are chunked; nothing here
-allocates more than a few hundred MB regardless of p or box size.
+Memory discipline: the oracle's fibre products are chunked to at most
+_CHUNK_ENTRIES (2^20) entries per intermediate, 8 MB each, unless one row
+alone needs more (then one row per chunk: p^4 + p^3 - p^2 entries);
+scheme_counts_batch's products to 2M entries.  Beyond those, memory is the
+size of the inputs and outputs: a row set (p^5 x 5 for all_forms_array, a
+(2r+1)^5 x 5 box), a few row-length vectors, and the singular set of about
+p^4 rows.
 """
 
 from __future__ import annotations
 
+from enum import IntEnum
 from functools import lru_cache
 
 import numpy as np
 
 from .ffarith import check_prime, chi12
+from .forms import invariants_raw
 
 __all__ = [
     "coeff_block",
@@ -28,19 +35,14 @@ __all__ = [
     "trace_table",
     "count_xf_batch",
     "oracle_n_batch",
+    "Case",
     "closed_n_batch",
     "scheme_counts_batch",
     "box_coeff_array",
 ]
 
 _CHUNK = 1 << 18
-
-
-def _ij_arrays(cols, p):
-    a0, a1, a2, a3, a4 = (c.astype(np.int64) % p for c in cols)
-    i = (12 * a0 * a4 - 3 * a1 * a3 + a2 * a2) % p
-    j = (72 * a0 * a2 * a4 + 9 * a1 * a2 * a3 - 27 * (a0 * a3 * a3 + a1 * a1 * a4) - 2 * a2**3) % p
-    return i, j
+_CHUNK_ENTRIES = 1 << 20  # entries per oracle fibre-product chunk
 
 
 def coeff_block(p: int, start: int, stop: int) -> np.ndarray:
@@ -64,7 +66,7 @@ def singular_coeff_array(p: int) -> np.ndarray:
     for start in range(0, total, max(_CHUNK, p**4)):
         stop = min(start + max(_CHUNK, p**4), total)
         block = coeff_block(p, start, stop)
-        i, j = _ij_arrays(block.T, p)
+        i, j = (v % p for v in invariants_raw(tuple(block.T)))
         mask = (4 * i**3 - j * j) % p == 0
         rows.append(block[mask])
     out = np.concatenate(rows)
@@ -107,18 +109,19 @@ def trace_table(p: int) -> np.ndarray:
     """trace_table(p)[i, j] = trace of y^2 = x^3 - 3i x^2 + j^2 over F_p,
     for the (i, j) with j != 0 and 4i^3 != j^2; 0 elsewhere (unused slots).
 
+    The character sums come from one integer matrix product: with
+    H[i, v] = #{x : x^3 - 3i x^2 = v} and C[v, s] = chi(v + s), the sum of
+    chi(x^3 - 3i x^2 + s) over x is (H @ C)[i, s].
     Every entry is Hasse-checked: a^2 <= 4p.
     """
     check_prime(p, min_exclusive=3)
     chi = chi_array(p)
-    i = np.arange(p, dtype=np.int64)[:, None]
-    j = np.arange(p, dtype=np.int64)[None, :]
-    acc = np.zeros((p, p), dtype=np.int64)
-    jsq = (j * j) % p
-    for x in range(p):
-        rhs = (x**3 - 3 * i * x * x + jsq) % p
-        acc += chi[rhs]
-    tr = -acc
+    v = np.arange(p, dtype=np.int64)
+    i, x = v[:, None], v[None, :]
+    hist = np.bincount((i * p + (x**3 - 3 * i * x * x) % p).ravel(), minlength=p * p)
+    sums = hist.reshape(p, p) @ chi[(v[:, None] + v[None, :]) % p]
+    tr = -sums[:, v * v % p]
+    j = x
     valid = (j != 0) & ((4 * i**3 - j * j) % p != 0)
     if np.any((tr[valid] ** 2) > 4 * p):
         raise RuntimeError(f"Hasse bound violated in trace table at p={p}")
@@ -139,7 +142,7 @@ def count_xf_batch(p: int, forms: np.ndarray) -> np.ndarray:
     wr = ((reps * w) % p).astype(np.float64)  # (#X, 5)
     forms = np.asarray(forms, dtype=np.int64) % p
     out = np.empty(len(forms), dtype=np.int64)
-    step = max(1, 25_000_000 // max(len(wr), 1))
+    step = max(1, _CHUNK_ENTRIES // max(len(wr), 1))
     for start in range(0, len(forms), step):
         stop = min(start + step, len(forms))
         # dot products are < 5 p^2 << 2^53, so the BLAS product is exact
@@ -175,7 +178,7 @@ def oracle_n_batch(p: int, forms: np.ndarray, check_fibers: bool = True) -> np.n
     w = np.array([12, 3, 2, 3, 12], dtype=np.int64)
     ws = ((singular_coeff_array(p) * w) % p).astype(np.float64)  # (N, 5)
     out = np.empty(len(forms), dtype=np.int64)
-    step = max(1, 25_000_000 // max(n_sing, 1))
+    step = max(1, _CHUNK_ENTRIES // max(n_sing, 1))
     for start in range(0, len(forms), step):
         stop = min(start + step, len(forms))
         vals = (ws @ forms[start:stop].T.astype(np.float64)).astype(np.int64) % p
@@ -212,49 +215,99 @@ def _hessian_cols(cols, p):
 _EVAL_POINTS = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2))  # pairwise distinct in P1 for p >= 5
 
 
-def closed_n_batch(p: int, forms: np.ndarray) -> np.ndarray:
+class Case(IntEnum):
+    """closed_n_batch's case per row; ZERO through NONSPLIT_SQUARE are the
+    rows in family X mod p."""
+
+    ZERO = 0  # f = 0 mod p
+    TRIPLE = 1  # I = J = 0, f != 0: a triple or quadruple root
+    SPLIT_SQUARE = 2  # (1^2 1^2)
+    NONSPLIT_SQUARE = 3  # (2^2)
+    DOUBLE = 4  # a lone double root: (1^2 11) or (1^2 2)
+    SEMIDEGENERATE = 5  # Disc != 0, J = 0
+    GENERIC = 6  # Disc != 0, J != 0
+
+
+@lru_cache(maxsize=24)
+def _case_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, Case) for every (I, J) mod p, flattened at I*p + J.
+
+    n depends on (I, J) alone except in two places, which closed_n_batch
+    decides row by row: I = J = 0 holds the zero form as well as the
+    triple roots, and Disc = 0, J != 0 holds the square locus as well as
+    the lone double roots.  Those cells carry TRIPLE and DOUBLE.
+    """
+    i = np.arange(p, dtype=np.int64)[:, None]
+    j = np.arange(p, dtype=np.int64)[None, :]
+    double = ((4 * i**3 - j * j) % p == 0) & (j != 0)
+    n = p * trace_table(p)
+    case = np.full((p, p), Case.GENERIC, dtype=np.int8)
+    n[:, 0] = p * chi_array(p)[(-3 * i[:, 0]) % p]
+    case[:, 0] = Case.SEMIDEGENERATE
+    n[double] = chi12(p) * p
+    case[double] = Case.DOUBLE
+    n[0, 0] = p * p * (p - 1)
+    case[0, 0] = Case.TRIPLE
+    n, case = n.ravel(), case.ravel()
+    n.flags.writeable = case.flags.writeable = False
+    return n, case
+
+
+def closed_n_batch(
+    p: int,
+    forms: np.ndarray,
+    ij: tuple[np.ndarray, np.ndarray] | None = None,
+    cases: np.ndarray | None = None,
+) -> np.ndarray:
     """Vectorized n = p^5 * Phi_hat_p(f) by the closed-form case list.
 
-    Case dispatch per form: zero; I = J = 0 (triple/quadruple root);
-    singular with J != 0 split into the square locus c*q^2 (detected by
+    ij is the pair of integer invariant arrays (I, J) of the rows, or any
+    arrays congruent to them mod p; without it they are computed from the
+    rows reduced mod p.  A caller that sweeps one box over many primes
+    computes ij once and passes it to every call.
+
+    cases, if given, is an int8 array with one slot per row that receives
+    each row's Case.
+
+    Case dispatch per form, by (I, J) mod p through _case_tables: generic
+    via the trace table; semidegenerate; I = J = 0, where the rows zero
+    mod p are told apart from the triple/quadruple roots by their columns;
+    singular with J != 0, split into the square locus c*q^2 (detected by
     He_f parallel to f, then split/non-split via the residue class of
-    disc q) and the rest; semidegenerate; generic via the trace table.
+    disc q) and the lone double roots.
     """
     check_prime(p, min_exclusive=3)
-    forms = np.asarray(forms, dtype=np.int64) % p
-    cols = tuple(forms[:, k] for k in range(5))
-    i, j = _ij_arrays(cols, p)
-    dz = (4 * i**3 - j * j) % p == 0  # Disc = 0
-    jz = j == 0
-    zero = ~np.any(forms, axis=1)
-    chi = chi_array(p)
-    chi3 = chi12(p)
+    forms = np.asarray(forms, dtype=np.int64)
+    if ij is None:
+        ij = invariants_raw(tuple((forms % p).T))
+    i, j = (np.asarray(v, dtype=np.int64) % p for v in ij)
+    if i.shape != (len(forms),) or j.shape != (len(forms),):
+        raise ValueError("ij must hold one I and one J per row")
+    if cases is None:
+        cases = np.empty(len(forms), dtype=np.int8)
+    elif cases.shape != (len(forms),) or cases.dtype != np.int8:
+        raise ValueError("cases must be an int8 array with one slot per row")
+    n_tab, case_tab = _case_tables(p)
+    flat = i * p + j
+    n = n_tab[flat]
+    np.take(case_tab, flat, out=cases)
 
-    n = np.empty(len(forms), dtype=np.int64)
-
-    # generic: Disc != 0, J != 0
-    m = ~dz & ~jz
-    n[m] = p * trace_table(p)[i[m], j[m]]
-    # semidegenerate: Disc != 0, J = 0 (then I != 0)
-    m = ~dz & jz
-    n[m] = p * chi[(-3 * i[m]) % p]
-    # triple or quadruple root: I = J = 0, f != 0
-    m = dz & jz & ~zero
-    n[m] = p * p * (p - 1)
+    # I = J = 0: the rows zero mod p, among the triple/quadruple roots
+    rows = np.flatnonzero(cases == Case.TRIPLE)
+    zero = rows[~np.any(np.take(forms, rows, axis=0) % p, axis=1)]
     n[zero] = p**4 + p**3 - p**2
+    cases[zero] = Case.ZERO
 
     # singular with J != 0: types (1^2 11), (1^2 2), (1^2 1^2), (2^2)
-    m = dz & ~jz
-    if np.any(m):
-        sub = tuple(c[m] for c in cols)
+    rows = np.flatnonzero(cases == Case.DOUBLE)
+    if len(rows):
+        sub = tuple((np.take(forms, rows, axis=0) % p).T)
         he = _hessian_cols(sub, p)
-        prop = np.ones(m.sum(), dtype=bool)
+        prop = np.ones(len(rows), dtype=bool)
         for a in range(5):
             for b in range(a + 1, 5):
                 prop &= (sub[a] * he[b] - sub[b] * he[a]) % p == 0
-        nm = np.where(m)[0]
-        # not proportional: a lone double root, n = chi12(p) * p
-        n[nm[~prop]] = chi3 * p
+        # not proportional: a lone double root, as the table has it
         if np.any(prop):
             sq = tuple(c[prop] for c in sub)
             hesq = tuple(c[prop] for c in he)
@@ -279,12 +332,16 @@ def closed_n_batch(p: int, forms: np.ndarray) -> np.ndarray:
                 vseen |= fresh
             if not vseen.all():
                 raise RuntimeError("quartic vanished at five projective points")
+            chi = chi_array(p)
             chi_d = chi[lam] * chi[np.int64(12 % p)] * chi[val]
             if np.any(chi_d == 0):
                 raise RuntimeError("vanishing proportionality scalar on the square locus")
-            nsq = nm[prop]
-            n[nsq[chi_d == 1]] = -chi3 * p * (p - 1)  # split: (1^2 1^2)
-            n[nsq[chi_d == -1]] = chi3 * p * (p + 1)  # non-split: (2^2)
+            chi3 = chi12(p)
+            split, nonsplit = rows[prop][chi_d == 1], rows[prop][chi_d == -1]
+            n[split] = -chi3 * p * (p - 1)  # (1^2 1^2)
+            cases[split] = Case.SPLIT_SQUARE
+            n[nonsplit] = chi3 * p * (p + 1)  # (2^2)
+            cases[nonsplit] = Case.NONSPLIT_SQUARE
 
     return n
 

@@ -153,6 +153,17 @@ def test_usage_error_exit_two():
     assert proc.returncode == 2
 
 
+def test_verify_theorem_without_primes_is_usage_error():
+    proc = subprocess.run(
+        [sys.executable, "-m", "quartics.cli", "verify-theorem", "--exhaustive-pmax", "3"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
 def test_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "quartics.cli", "fourier", "--p", "5", "--form", "0,0,0,0,0"],

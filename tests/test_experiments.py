@@ -99,6 +99,18 @@ def test_box_sum_anchor():
         box_sum(3, 5)
 
 
+def test_box_sum_golden_zero_mod_p_rows():
+    # frozen at r=5, Q=11: the box holds nonzero forms = 0 mod 5, which
+    # closed_n_batch must count with n = p^4 + p^3 - p^2 and as in family X
+    res = box_sum(11, 5)
+    assert res.exact == Fraction(
+        759121545087201859971595202, 620917258679232471831875
+    )
+    assert res.in_x_exact == res.in_x_q5_one == Fraction(
+        205369508321565625767066118, 6830089845471557190150625
+    )
+
+
 def test_box_sum_monotone_in_q():
     vals = [box_sum(Q, 2).exact for Q in (10, 20, 40)]
     assert vals[0] > vals[1] > vals[2]

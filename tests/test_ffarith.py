@@ -133,6 +133,12 @@ def test_check_prime():
         check_prime(9)
 
 
+def test_check_prime_rejects_non_ints_every_time():
+    for bad in (5.0, "5", [5], {5: 1}, True, 9, 9):
+        with pytest.raises(ValueError):
+            check_prime(bad)
+
+
 def test_is_prime_small():
     expected = set(primes_below(200))
     for n in range(200):

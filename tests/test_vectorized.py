@@ -4,8 +4,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from quartics.forms import QuarticForm, invariants_mod, splitting_type_mod
+from quartics.forms import (
+    QuarticForm,
+    SplittingType,
+    invariants_mod,
+    invariants_raw,
+    splitting_type_mod,
+)
 from quartics.fourier import closed_n
 from quartics.schemes import (
     count_X122,
@@ -15,6 +22,7 @@ from quartics.schemes import (
     singular_proj_reps,
 )
 from quartics.vectorized import (
+    Case,
     all_forms_array,
     box_coeff_array,
     chi_array,
@@ -159,3 +167,53 @@ def test_classifier_square_locus_matches_types():
                 SplittingType.D22: chi * p * (p + 1),
             }[t]
             assert batch[k] == expected
+
+
+_CASE_TYPES = {
+    Case.ZERO: {SplittingType.ZERO},
+    Case.TRIPLE: {SplittingType.D131, SplittingType.D14},
+    Case.SPLIT_SQUARE: {SplittingType.D1212},
+    Case.NONSPLIT_SQUARE: {SplittingType.D22},
+    Case.DOUBLE: {SplittingType.D1211, SplittingType.D122},
+}
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_case_codes_match_splitting_types(p):
+    if p <= 7:
+        forms = all_forms_array(p)
+    else:
+        forms = np.random.default_rng(p).integers(0, p, size=(2000, 5), dtype=np.int64)
+    cases = np.empty(len(forms), dtype=np.int8)
+    closed_n_batch(p, forms, cases=cases)
+    for k in range(len(forms)):
+        t = splitting_type_mod(tuple(int(v) for v in forms[k]), p)
+        case = Case(cases[k])
+        assert (case <= Case.NONSPLIT_SQUARE) == t.in_family_x
+        assert t in _CASE_TYPES.get(case, {s for s in SplittingType if not s.degenerate})
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(1, 40),
+    st.sampled_from([5, 7, 11, 13, 17, 19, 23]),
+    st.integers(0, 2**32 - 1),
+)
+def test_closed_batch_integer_invariants_match_reduced_rows(bound, p, seed):
+    box = np.random.default_rng(seed).integers(-bound, bound + 1, size=(300, 5))
+    box[:3] = [[0] * 5, [p] * 5, [-p, 0, 0, 0, p]]  # the zero row and two rows = 0 mod p
+    cases_z = np.empty(len(box), dtype=np.int8)
+    cases_p = np.empty(len(box), dtype=np.int8)
+    n_z = closed_n_batch(p, box, invariants_raw(tuple(box.T)), cases_z)
+    n_p = closed_n_batch(p, box % p, cases=cases_p)
+    assert np.array_equal(n_z, n_p)
+    assert np.array_equal(cases_z, cases_p)
+    assert list(cases_z[:3]) == [Case.ZERO] * 3
+
+
+def test_closed_batch_rejects_misshapen_outputs():
+    forms = all_forms_array(5)[:10]
+    with pytest.raises(ValueError):
+        closed_n_batch(5, forms, cases=np.empty(10, dtype=np.int64))
+    with pytest.raises(ValueError):
+        closed_n_batch(5, forms, (np.zeros(9), np.zeros(9)))
