@@ -40,6 +40,11 @@ def _progress(msg: str) -> None:
     print(msg, file=sys.stderr, flush=True)
 
 
+def _usage_error(command: str, msg) -> int:
+    print(f"quartics {command}: {msg}", file=sys.stderr)
+    return 2
+
+
 def _primes_in(lo_exclusive: int, hi_inclusive: int) -> list[int]:
     return [p for p in primes_below(hi_inclusive + 1) if p > lo_exclusive]
 
@@ -86,11 +91,9 @@ def cmd_verify_theorem(ns) -> int:
         (p, ns.samples, ns.seed) for p in sa_primes
     ]
     if not tasks:
-        print(
-            "quartics verify-theorem: no prime > 3 up to --exhaustive-pmax or --sampled-pmax",
-            file=sys.stderr,
+        return _usage_error(
+            "verify-theorem", "no prime > 3 up to --exhaustive-pmax or --sampled-pmax"
         )
-        return 2
     if ns.threads > 1 and len(tasks) > 1:
         with Pool(ns.threads) as pool:
             results = pool.map(_verify_prime, tasks)
@@ -165,7 +168,10 @@ def cmd_schemes(ns) -> int:
 
 
 def cmd_box_sum(ns) -> int:
-    res = experiments.box_sum(ns.q, ns.r)
+    try:
+        res = experiments.box_sum(ns.q, ns.r)
+    except ValueError as exc:
+        return _usage_error("box-sum", exc)
     _emit(
         {
             "command": "box-sum",
@@ -200,12 +206,15 @@ def cmd_singular_count(ns) -> int:
 
 
 def cmd_census(ns) -> int:
-    agg = experiments.census(
-        ns.coeff_bound,
-        height_bound=ns.height,
-        require_s=ns.require_s,
-        out_csv=ns.out,
-    )
+    try:
+        agg = experiments.census(
+            ns.coeff_bound,
+            height_bound=ns.height,
+            require_s=ns.require_s,
+            out_csv=ns.out,
+        )
+    except ValueError as exc:
+        return _usage_error("census", exc)
     agg["command"] = "census"
     _emit(agg)
     return 0

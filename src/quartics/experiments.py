@@ -3,11 +3,15 @@ squarefree moduli, integral points on the triple/double-double family in
 coefficient boxes, and the almost-prime squarefree-discriminant census.
 
 Everything is exact: box sums aggregate integer numerators per modulus and
-only then become Fractions; the census decides squarefreeness and prime
-counts by complete trial division (deterministic Miller-Rabin for large
-prime cofactors), real solubility by sign analysis plus Sturm sequences,
-and irreducibility by exact factorization over Q (with mod-p certificates
-as a vectorized fast path).
+only then become Fractions.  The census engine sweeps its box twice, in
+slabs of fixed a0.  Disc depends on (I, J) alone, so the first pass
+collects the box's distinct (I, J) pairs as int64 keys and factors each
+distinct |Disc| once, by complete trial division (deterministic
+Miller-Rabin for large prime cofactors); the second reads each row's Omega
+and squarefreeness through its key.  Real solubility is decided by sign
+analysis plus Sturm sequences, and irreducibility by mod-p certificates
+(no root, one root, and Stickelberger's discriminant parity) with exact
+factorization over Q for the rows no certificate decides.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .forms import (
 )
 from .elliptic import S_MODULUS
 from .intfactor import FactorResult, factorize, is_prime, primes_below
-from .vectorized import Case, box_coeff_array, closed_n_batch
+from .vectorized import Case, box_coeff_array, chi_array, closed_n_batch
 
 __all__ = [
     "F0",
@@ -99,12 +103,16 @@ def box_sum(Q: int, r: int) -> BoxSumResult:
 
     The box's integer invariants I and J are computed once.  For each prime
     p > 3 dividing some q, closed_n_batch reduces them mod p and returns
-    |n| over the box, which every q divisible by p reuses, together with
-    each row's case; the cases of the family rows are all the in-family
-    sub-sums need of p.  The inner sum for a fixed q is an integer once
-    scaled by q'^5 (q' = q with the 2- and 3-parts removed), so the double
-    sum is a short exact Fraction aggregation.
+    |n| over the box, together with each row's case; the cases of the
+    family rows are all the in-family sub-sums need of p.  The |n| vector
+    over the whole box is kept only for a prime that shares a modulus
+    with another prime > 3, where the product needs it; every other prime
+    keeps its sum and its family rows.  The inner sum for a fixed q is an
+    integer once scaled by q'^5 (q' = q with the 2- and 3-parts removed),
+    so the double sum is a short exact Fraction aggregation.
     """
+    if r < 1:
+        raise ValueError("positive half-width required")
     if Q <= r:
         raise ValueError("Q > r required")
     qs = _squarefree_moduli(Q, 2 * Q)
@@ -114,15 +122,22 @@ def box_sum(Q: int, r: int) -> BoxSumResult:
 
     fam_idx = _family_rows(r)
     q_parts = {q: sorted(p for p in factorize(q).factors if p > 3) for q in qs}
-    absn: dict[int, np.ndarray] = {}
+    shared = {p for ps in q_parts.values() if len(ps) > 1 for p in ps}
+    absn: dict[int, np.ndarray] = {}  # |n| over the box, primes in shared
+    sums: dict[int, int] = {}  # |n| summed over the nonzero rows
+    fam_n: dict[int, np.ndarray] = {}  # |n| on the family rows
     stays: dict[int, np.ndarray] = {}
     cases = np.empty(len(box), dtype=np.int8)
     for q in qs:
         for p in q_parts[q]:
-            if p not in absn:
+            if p not in sums:
                 n = closed_n_batch(p, box, ij, cases)
-                absn[p] = np.abs(n, out=n)
+                np.abs(n, out=n)
+                sums[p] = int(n.sum()) - int(n[zero_row])
+                fam_n[p] = n[fam_idx]
                 stays[p] = cases[fam_idx] <= Case.NONSPLIT_SQUARE
+                if p in shared:
+                    absn[p] = n
 
     total = Fraction(0)
     for q in qs:
@@ -130,16 +145,19 @@ def box_sum(Q: int, r: int) -> BoxSumResult:
         if not ps:
             total += Fraction(len(box) - 1)
             continue
-        vec = absn[ps[0]]
-        for p in ps[1:]:
-            vec = vec * absn[p]
-        num = int(vec.sum()) - int(vec[zero_row])
+        if len(ps) == 1:
+            num = sums[ps[0]]
+        else:
+            vec = absn[ps[0]]
+            for p in ps[1:]:
+                vec = vec * absn[p]
+            num = int(vec.sum()) - int(vec[zero_row])
         den = 1
         for p in ps:
             den *= p
         total += Fraction(num, den**5)
 
-    in_x, in_x_q5_one = _in_x_subsums(qs, q_parts, absn, fam_idx, stays)
+    in_x, in_x_q5_one = _in_x_subsums(qs, q_parts, len(fam_idx), fam_n, stays)
     bound = r * r / Q + r**4 / Q**2 + r**5 / Q**2.5
     return BoxSumResult(Q, r, total, bound, in_x, in_x_q5_one)
 
@@ -155,29 +173,30 @@ def _family_rows(r: int) -> np.ndarray:
     )
 
 
-def _in_x_subsums(qs, q_parts, absn, fam_idx, stays):
-    """Diagnostic split of the box sum over the family rows fam_idx: their
+def _in_x_subsums(qs, q_parts, n_fam, fam_n, stays):
+    """Diagnostic split of the box sum over its n_fam family rows: their
     whole contribution, and the part from the rows whose reduction mod
     every prime p > 3 of q stays in family X, read from closed_n_batch's
-    case codes (stays[p], one flag per family row)."""
-    if not len(fam_idx):
+    case codes.  fam_n[p] and stays[p] hold |n| and that flag per family
+    row."""
+    if not n_fam:
         return Fraction(0), Fraction(0)
     tot = Fraction(0)
     tot_q5 = Fraction(0)
     for q in qs:
         ps = q_parts[q]
         if not ps:
-            tot += Fraction(len(fam_idx))
-            tot_q5 += Fraction(len(fam_idx))
+            tot += Fraction(n_fam)
+            tot_q5 += Fraction(n_fam)
             continue
         den = 1
         for p in ps:
             den *= p
         den = den**5
-        nums = np.ones(len(fam_idx), dtype=np.int64)
-        keep = np.ones(len(fam_idx), dtype=bool)
+        nums = np.ones(n_fam, dtype=np.int64)
+        keep = np.ones(n_fam, dtype=bool)
         for p in ps:
-            nums = nums * absn[p][fam_idx]
+            nums = nums * fam_n[p]
             keep &= stays[p]
         tot += Fraction(int(nums.sum()), den)
         tot_q5 += Fraction(int(nums[keep].sum()), den)
@@ -480,14 +499,29 @@ def write_census_csv(rows, path) -> None:
 
 _CENSUS_GUARD = 25  # (2*25+1)^5 ~ 3.5e8 rows is the ceiling for the engine
 _CERT_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31)
+_KEY_HALF = 1 << 30  # the (I, J) key packs I + 2^30 and J + 2^30 into 31 bits each
 
 
-def _slab(coeff_bound: int, a0: int) -> np.ndarray:
+def _check_headroom(coeff_bound: int) -> None:
+    """Over |a_i| <= B, |I| <= 16 B^2 and |J| <= 137 B^3.  Both must fit a
+    half of the (I, J) key, and 4 I^3 - J^2 must fit int64."""
+    imax, jmax = 16 * coeff_bound**2, 137 * coeff_bound**3
+    if max(imax, jmax) >= _KEY_HALF or 4 * imax**3 + jmax**2 >= 1 << 63:
+        raise ValueError(f"coefficient bound {coeff_bound} overflows int64 invariants")
+
+
+def _ij_key(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    return (i + _KEY_HALF) * (2 * _KEY_HALF) + (j + _KEY_HALF)
+
+
+def _slab_cols(coeff_bound: int, a0: int) -> tuple[np.ndarray, ...]:
+    """The five coefficient columns of the box rows with first coefficient
+    a0, in box order."""
     side = 2 * coeff_bound + 1
     idx = np.arange(side**4, dtype=np.int64)
     cols = [np.full(side**4, a0, dtype=np.int64)]
     cols += [((idx // side ** (3 - k)) % side) - coeff_bound for k in range(4)]
-    return np.stack(cols, axis=1)
+    return tuple(cols)
 
 
 def _batch_omega_squarefree(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -579,14 +613,8 @@ def _batch_soluble(cols) -> np.ndarray:
     rest = np.nonzero(~out)[0]
     if not len(rest):
         return out
-    b0, b1, b2, b3, b4 = (c[rest] for c in cols)
-    i = 12 * b0 * b4 - 3 * b1 * b3 + b2 * b2
-    j = (
-        72 * b0 * b2 * b4
-        + 9 * b1 * b2 * b3
-        - 27 * (b0 * b3 * b3 + b1 * b1 * b4)
-        - 2 * b2**3
-    )
+    b0, b1, b2, b3, b4 = sub = tuple(c[rest] for c in cols)
+    i, j = invariants_raw(sub)
     disc27 = 4 * i**3 - j * j  # 27 * Disc, same sign
     # negative discriminant: two real roots; positive: four or none,
     # four exactly when P < 0 and D < 0
@@ -609,9 +637,14 @@ def _batch_soluble(cols) -> np.ndarray:
 
 def _batch_irreducible(cols, idx) -> np.ndarray:
     """Irreducibility over Q for the rows selected by idx: mod-p
-    certificates first (a prime with no projective root rules out linear
-    factors, a nonsingular prime with exactly one root rules out quadratic
-    splittings), exact factorization for the undecided rest."""
+    certificates first, exact factorization for the undecided rest.
+
+    At a prime p, no projective root rules out linear factors, and a
+    nonsingular reduction with exactly one root rules out quadratic
+    splittings.  A reduction with no root whose Disc is a non-square mod p
+    is irreducible of degree 4 (Stickelberger: a squarefree quartic with
+    two quadratic factors has square Disc), so it rules out both; with
+    Disc = (4I^3 - J^2)/27, chi(Disc) = chi(3) chi(4I^3 - J^2)."""
     sub = [c[idx] for c in cols]
     n = len(idx)
     irr = np.zeros(n, dtype=bool)
@@ -629,16 +662,13 @@ def _batch_irreducible(cols, idx) -> np.ndarray:
         for x in range(p):
             val = (((cc[0] * x + cc[1]) * x + cc[2]) * x + cc[3]) * x + cc[4]
             roots += val % p == 0
-        i = (12 * cc[0] * cc[4] - 3 * cc[1] * cc[3] + cc[2] * cc[2]) % p
-        j = (
-            72 * cc[0] * cc[2] * cc[4]
-            + 9 * cc[1] * cc[2] * cc[3]
-            - 27 * (cc[0] * cc[3] * cc[3] + cc[1] * cc[1] * cc[4])
-            - 2 * cc[2] ** 3
-        ) % p
-        nonsing = (4 * i**3 - j * j) % p != 0
+        i, j = (v % p for v in invariants_raw(cc))
+        disc27 = (4 * i**3 - j * j) % p
+        chi = chi_array(p)
         no_lin[rows] |= (roots == 0) & nonzero_modp
-        no_quad[rows] |= (roots == 1) & nonsing
+        no_quad[rows] |= ((roots == 1) & (disc27 != 0)) | (
+            (roots == 0) & (chi[disc27] == -chi[3])
+        )
         decided = no_lin & no_quad
         open_mask &= ~decided
     irr |= no_lin & no_quad
@@ -666,7 +696,17 @@ def census(
     the count additionally irreducible over Q ("passing_all"), distinct
     (I, J) pairs, and the S-congruence slice.  With out_csv set, the rows
     passing every filter are streamed to a CSV file.
+
+    The engine sweeps the box in slabs of fixed a0, twice.  Disc =
+    (4I^3 - J^2)/27 depends on (I, J) alone, so the first pass collects the
+    box's distinct (I, J) pairs as sorted int64 keys and factors each
+    nonzero |Disc| once, into an Omega and a squarefree flag per key.  The
+    second pass recomputes each row's (I, J), reads its Omega and flag
+    through its key, and decides solubility, the height filter and
+    irreducibility row by row, writing CSV rows in box order.
     """
+    if coeff_bound < 0:
+        raise ValueError(f"coefficient bound {coeff_bound} is negative")
     if require_s:
         rows = census_s_rows(coeff_bound, trial_bound)
         if height_bound is not None:
@@ -681,9 +721,32 @@ def census(
         )
         return agg
     if coeff_bound > _CENSUS_GUARD:
-        raise ValueError(f"coefficient bound {coeff_bound} beyond the engine guard")
+        raise ValueError(
+            f"coefficient bound {coeff_bound} beyond the engine guard {_CENSUS_GUARD}"
+        )
+    _check_headroom(coeff_bound)
+    a0s = range(-coeff_bound, coeff_bound + 1)
 
-    omega_hist: dict[int, int] = {}
+    # pass 1: Omega and squarefreeness per distinct (I, J)
+    key_chunks = [
+        np.unique(_ij_key(*invariants_raw(_slab_cols(coeff_bound, a0)))) for a0 in a0s
+    ]
+    keys = np.unique(np.concatenate(key_chunks))
+    del key_chunks
+    i, j = np.divmod(keys, 2 * _KEY_HALF)
+    i -= _KEY_HALF
+    j -= _KEY_HALF
+    absdisc, inverse = np.unique(np.abs(4 * i**3 - j * j) // 27, return_inverse=True)
+    del i, j
+    nz = absdisc != 0
+    om = np.full(len(absdisc), -1, dtype=np.int8)  # -1 marks Disc = 0
+    sq = np.zeros(len(absdisc), dtype=bool)
+    om[nz], sq[nz] = _batch_omega_squarefree(absdisc[nz])
+    key_om, key_sq = om[inverse], sq[inverse]
+    del absdisc, inverse, nz, om, sq
+
+    # pass 2: row by row, in box order
+    omega_hist = np.zeros(64, dtype=np.int64)  # Omega(|Disc|) < 63 in int64
     totals = dict(
         total_forms=0,
         zero_disc=0,
@@ -695,7 +758,6 @@ def census(
         s_rows=0,
         s_passing=0,
     )
-    ij_chunks = []
     writer = None
     out_handle = None
     if out_csv is not None:
@@ -703,36 +765,18 @@ def census(
         writer = csv.writer(out_handle)
         writer.writerow(CSV_HEADER)
     try:
-        for a0 in range(-coeff_bound, coeff_bound + 1):
-            slab = _slab(coeff_bound, a0)
-            cols = [slab[:, k] for k in range(5)]
-            i = 12 * cols[0] * cols[4] - 3 * cols[1] * cols[3] + cols[2] * cols[2]
-            j = (
-                72 * cols[0] * cols[2] * cols[4]
-                + 9 * cols[1] * cols[2] * cols[3]
-                - 27 * (cols[0] * cols[3] * cols[3] + cols[1] * cols[1] * cols[4])
-                - 2 * cols[2] ** 3
-            )
-            disc = (4 * i**3 - j * j) // 27
-            totals["total_forms"] += len(slab)
-            zero = disc == 0
+        for a0 in a0s:
+            cols = _slab_cols(coeff_bound, a0)
+            i, j = invariants_raw(cols)
+            k = np.searchsorted(keys, _ij_key(i, j))
+            om = key_om[k]
+            sq = key_sq[k]
+            totals["total_forms"] += len(om)
+            zero = om < 0
             totals["zero_disc"] += int(zero.sum())
-
-            ij_chunks.append(np.unique((i + (1 << 30)) * (1 << 31) + (j + (1 << 30))))
-
-            nz = np.nonzero(~zero)[0]
-            uniq, inverse = np.unique(np.abs(disc[nz]), return_inverse=True)
-            om_u, sq_u = _batch_omega_squarefree(uniq)
-            om = np.full(len(slab), -1, dtype=np.int64)
-            om[nz] = om_u[inverse]
-            sq = np.zeros(len(slab), dtype=bool)
-            sq[nz] = sq_u[inverse]
-            hist = np.bincount(om[nz])
-            for k, cnt in enumerate(hist):
-                if cnt:
-                    omega_hist[k] = omega_hist.get(k, 0) + int(cnt)
+            omega_hist += np.bincount(om[~zero], minlength=len(omega_hist))
             totals["squarefree"] += int(sq.sum())
-            sf4 = sq & (om >= 0) & (om <= 4)
+            sf4 = sq & (om <= 4)  # sq is false where Disc = 0
             totals["sf_omega_le4"] += int(sf4.sum())
 
             soluble = _batch_soluble(cols)
@@ -748,28 +792,25 @@ def census(
                 irr = _batch_irreducible(cols, cidx)
                 totals["passing_all"] += int(irr.sum())
                 if writer is not None:
-                    for k in cidx[irr]:
-                        writer.writerow(
-                            _record_from_arrays(slab, i, j, disc, om, sq, int(k))
-                        )
+                    for r in cidx[irr]:
+                        writer.writerow(_record_from_arrays(cols, i, j, om, sq, int(r)))
     finally:
         if out_handle is not None:
             out_handle.close()
 
-    keys = np.unique(np.concatenate(ij_chunks)) if ij_chunks else np.array([])
     agg = dict(
         coeff_bound=coeff_bound,
         height_bound=height_bound,
         require_s=False,
-        omega_hist={str(k): v for k, v in sorted(omega_hist.items())},
+        omega_hist={str(k): int(v) for k, v in enumerate(omega_hist) if v},
         distinct_ij=int(len(keys)),
         **totals,
     )
     return agg
 
 
-def _record_from_arrays(slab, i, j, disc, om, sq, k) -> list:
-    coeffs = tuple(int(v) for v in slab[k])
+def _record_from_arrays(cols, i, j, om, sq, k) -> list:
+    coeffs = tuple(int(c[k]) for c in cols)
     iv, jv = int(i[k]), int(j[k])
     h = max(Fraction(abs(iv) ** 3), Fraction(jv * jv, 4))
     h = int(h) if h.denominator == 1 else h
@@ -778,7 +819,7 @@ def _record_from_arrays(slab, i, j, disc, om, sq, k) -> list:
         *coeffs,
         iv,
         jv,
-        int(disc[k]),
+        (4 * iv**3 - jv * jv) // 27,
         _decimal_str(h),
         int(om[k]),
         _bool_str(bool(sq[k])),

@@ -43,6 +43,11 @@ __all__ = [
 
 _CHUNK = 1 << 18
 _CHUNK_ENTRIES = 1 << 20  # entries per oracle fibre-product chunk
+# Per-prime tables cached: the 35 primes 5..157 that divide the moduli of
+# box_sum(80, r), the largest Q of the box-sum grid.  At p = 157 a
+# trace_table holds 8p^2 B = 197 KB and a _case_tables pair 9p^2 B = 222 KB,
+# 4.5 MB for all 35 of both; chi_array and inv_array hold 8p B.
+_PRIME_TABLES = 35
 
 
 def coeff_block(p: int, start: int, stop: int) -> np.ndarray:
@@ -86,7 +91,7 @@ def singular_proj_array(p: int) -> np.ndarray:
     return sing[keep]
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=_PRIME_TABLES)
 def chi_array(p: int) -> np.ndarray:
     """chi_array(p)[a] = Legendre symbol (a/p)."""
     t = np.full(p, -1, dtype=np.int64)
@@ -96,7 +101,7 @@ def chi_array(p: int) -> np.ndarray:
     return t
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=_PRIME_TABLES)
 def inv_array(p: int) -> np.ndarray:
     """inv_array(p)[a] = a^-1 mod p (index 0 unused)."""
     t = np.zeros(p, dtype=np.int64)
@@ -104,7 +109,7 @@ def inv_array(p: int) -> np.ndarray:
     return t
 
 
-@lru_cache(maxsize=24)
+@lru_cache(maxsize=_PRIME_TABLES)
 def trace_table(p: int) -> np.ndarray:
     """trace_table(p)[i, j] = trace of y^2 = x^3 - 3i x^2 + j^2 over F_p,
     for the (i, j) with j != 0 and 4i^3 != j^2; 0 elsewhere (unused slots).
@@ -228,7 +233,7 @@ class Case(IntEnum):
     GENERIC = 6  # Disc != 0, J != 0
 
 
-@lru_cache(maxsize=24)
+@lru_cache(maxsize=_PRIME_TABLES)
 def _case_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
     """(n, Case) for every (I, J) mod p, flattened at I*p + J.
 

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from quartics import cli
 
 
@@ -151,6 +153,25 @@ def test_usage_error_exit_two():
         capture_output=True,
     )
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "--coeff-bound", "-1"],  # an empty box
+        ["census", "--coeff-bound", "30"],  # beyond the engine guard
+        ["box-sum", "--q", "3", "--r", "5"],  # Q <= r
+    ],
+)
+def test_bad_experiment_bounds_exit_two(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "quartics.cli", *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.strip().splitlines()) == 1
 
 
 def test_verify_theorem_without_primes_is_usage_error():

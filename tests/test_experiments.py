@@ -18,8 +18,16 @@ from quartics.experiments import (
     singular_lattice_count,
     write_census_csv,
 )
-from quartics.experiments import _aggregate_from_rows, _batch_omega_squarefree
+from quartics import experiments
+from quartics.experiments import (
+    _aggregate_from_rows,
+    _batch_irreducible,
+    _batch_omega_squarefree,
+    _check_headroom,
+    _is_irreducible,
+)
 from quartics.forms import QuarticForm, in_family_X, is_R_soluble
+from quartics.vectorized import _case_tables, box_coeff_array
 
 
 def test_box():
@@ -97,6 +105,8 @@ def test_box_sum_anchor():
     assert res.in_x_q5_one <= res.in_x_exact <= res.exact
     with pytest.raises(ValueError):
         box_sum(3, 5)
+    with pytest.raises(ValueError):
+        box_sum(3, 0)
 
 
 def test_box_sum_golden_zero_mod_p_rows():
@@ -109,6 +119,28 @@ def test_box_sum_golden_zero_mod_p_rows():
     assert res.in_x_exact == res.in_x_q5_one == Fraction(
         205369508321565625767066118, 6830089845471557190150625
     )
+
+
+def test_box_sum_golden_shared_primes():
+    # frozen at r=1, Q=20: q = 35 takes the product of the |n| vectors of
+    # 5 and 7 over the whole box
+    res = box_sum(20, 1)
+    assert res.exact == Fraction(
+        235743896594426068815759799627994626043850080768,
+        93593010117919327851599576560935366217039026025,
+    )
+    assert res.in_x_exact == res.in_x_q5_one == Fraction(
+        3294859088139562000644686547660548581242935933256,
+        2339825252947983196289989414023384155425975650625,
+    )
+
+
+def test_box_sum_tables_stay_cached():
+    # one box_sum(80, r) needs the tables of 35 primes; all stay cached
+    box_sum(80, 6)
+    misses = _case_tables.cache_info().misses
+    box_sum(80, 6)
+    assert _case_tables.cache_info().misses == misses
 
 
 def test_box_sum_monotone_in_q():
@@ -156,6 +188,80 @@ def test_census_engine_matches_scalar_rows():
         ):
             assert agg[key] == ragg[key], key
         assert agg["omega_hist"] == ragg["omega_hist"]
+
+
+CENSUS_5 = {
+    "candidates": 32348, "coeff_bound": 5, "distinct_ij": 30493,
+    "height_bound": None,
+    "omega_hist": {
+        "1": 11372, "2": 16660, "3": 21948, "4": 19372, "5": 22172,
+        "6": 18180, "7": 15780, "8": 9692, "9": 8836, "10": 5048,
+        "11": 3784, "12": 2072, "13": 1464, "14": 584, "15": 452,
+        "16": 128, "17": 92, "18": 48, "19": 28, "20": 8,
+    },
+    "passing_all": 29884, "r_soluble": 141866, "require_s": False,
+    "s_passing": 0, "s_rows": 0, "sf_omega_le4": 37588, "squarefree": 37676,
+    "total_forms": 161051, "zero_disc": 3331,
+}
+
+CENSUS_8 = {
+    "candidates": 242118, "coeff_bound": 8, "distinct_ij": 254909,
+    "height_bound": None,
+    "omega_hist": {
+        "1": 66992, "2": 120300, "3": 152972, "4": 156292, "5": 169988,
+        "6": 161324, "7": 151332, "8": 116440, "9": 97384, "10": 65808,
+        "11": 51636, "12": 34264, "13": 24772, "14": 13880, "15": 10608,
+        "16": 5348, "17": 3736, "18": 2092, "19": 1324, "20": 460,
+        "21": 296, "22": 124, "23": 64, "24": 16, "25": 8, "26": 4,
+    },
+    "passing_all": 233624, "r_soluble": 1246099, "require_s": False,
+    "s_passing": 0, "s_rows": 0, "sf_omega_le4": 279904, "squarefree": 282080,
+    "total_forms": 1419857, "zero_disc": 12393,
+}
+
+
+def test_census_golden_aggregates():
+    # B = 8 is the census workload of the benchmark
+    assert census(5) == CENSUS_5
+    assert census(8) == CENSUS_8
+
+
+def test_census_rejects_bad_bounds():
+    with pytest.raises(ValueError):
+        census(-1)
+    with pytest.raises(ValueError):
+        census(-1, require_s=True)
+    with pytest.raises(ValueError):
+        census(26)  # beyond the engine guard
+    _check_headroom(198)
+    with pytest.raises(ValueError):
+        _check_headroom(199)  # 137 B^3 >= 2^30
+
+
+def test_batch_irreducible_matches_scalar_on_box():
+    box = box_coeff_array(3)
+    irr = _batch_irreducible(tuple(box.T), np.arange(len(box)))
+    for k, row in enumerate(box):
+        assert irr[k] == _is_irreducible(QuarticForm.from_coeffs(row.tolist())), row
+
+
+def test_irreducibility_certificate_edge_cases(monkeypatch):
+    fallback = []
+
+    def scalar(f):
+        fallback.append(f.coeffs)
+        return _is_irreducible(f)
+
+    monkeypatch.setattr(experiments, "_is_irreducible", scalar)
+    forms = [
+        (1, 0, 0, 0, 1),  # x^4 + y^4: reducible mod every prime
+        (1, 0, 3, 0, 2),  # (x^2 + y^2)(x^2 + 2y^2): square Disc where rootless
+        (2, 0, 0, 0, 1),  # 2x^4 + y^4: rootless, non-square Disc mod 5
+    ]
+    cols = tuple(np.array(c, dtype=np.int64) for c in zip(*forms))
+    irr = _batch_irreducible(cols, np.arange(len(forms)))
+    assert irr.tolist() == [True, False, True]
+    assert fallback == forms[:2]
 
 
 def test_census_height_filter():
