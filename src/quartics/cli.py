@@ -19,6 +19,7 @@ import numpy as np
 
 from . import experiments
 from .elliptic import e_prime_of, jacobian_model, point_count, two_two_from_quartic
+from .ffarith import check_prime
 from .forms import QuarticForm, format_form, invariants_mod, parse_form
 from .fourier import closed_n, oracle_fourier
 from .intfactor import primes_below
@@ -28,7 +29,7 @@ from .schemes import (
     count_X1212,
     count_X22,
 )
-from .vectorized import all_forms_array, oracle_n_batch
+from .vectorized import all_forms_array, oracle_n_batch, x1212_batch
 
 
 def _emit(payload: dict) -> None:
@@ -122,8 +123,17 @@ def cmd_verify_theorem(ns) -> int:
 # fourier / schemes
 
 
+def _query_form(ns):
+    """The coefficients of --form, after checking that --p is a prime > 3."""
+    check_prime(ns.p, min_exclusive=3)
+    return parse_form(ns.form)
+
+
 def cmd_fourier(ns) -> int:
-    coeffs = parse_form(ns.form)
+    try:
+        coeffs = _query_form(ns)
+    except ValueError as exc:
+        return _usage_error("fourier", exc)
     payload = {"command": "fourier", "p": ns.p, "form": format_form(coeffs), "method": ns.method}
     ok = True
     if ns.method in ("oracle", "both"):
@@ -141,8 +151,13 @@ def cmd_fourier(ns) -> int:
 
 
 def cmd_schemes(ns) -> int:
-    coeffs = parse_form(ns.form)
+    try:
+        coeffs = _query_form(ns)
+    except ValueError as exc:
+        return _usage_error("schemes", exc)
     f = QuarticForm.from_coeffs(coeffs, p=ns.p)
+    if f.is_zero:
+        return _usage_error("schemes", f"the form is zero mod {ns.p}; X^f is undefined")
     brute = (count_X122(f), count_X22(f), count_X1212(f))
     closed = closed_scheme_counts(f)
     names = ("x122", "x22", "x1212")
@@ -189,6 +204,8 @@ def cmd_box_sum(ns) -> int:
 
 
 def cmd_singular_count(ns) -> int:
+    if ns.rmax < 1:
+        return _usage_error("singular-count", "--rmax must be at least 1")
     rows = []
     ok = True
     for r in range(1, ns.rmax + 1):
@@ -206,6 +223,13 @@ def cmd_singular_count(ns) -> int:
 
 
 def cmd_census(ns) -> int:
+    if ns.out is not None:
+        try:
+            # fail before the sweep, not after it; "a" keeps the file if the
+            # census then rejects its bounds
+            open(ns.out, "a").close()
+        except OSError as exc:
+            return _usage_error("census", exc)
     try:
         agg = experiments.census(
             ns.coeff_bound,
@@ -221,21 +245,26 @@ def cmd_census(ns) -> int:
 
 
 def cmd_jacobian_check(ns) -> int:
+    primes = _primes_in(3, ns.pmax)
+    if not primes:
+        return _usage_error("jacobian-check", "no prime > 3 up to --pmax")
+    if ns.samples < 1:
+        return _usage_error("jacobian-check", "--samples must be at least 1")
     checked = []
     mismatches = []
-    for p in _primes_in(3, ns.pmax):
+    for p in primes:
         rng = np.random.default_rng([ns.seed, p])
-        found = 0
-        while found < ns.samples:
+        forms = []
+        while len(forms) < ns.samples:
             c = tuple(int(v) for v in rng.integers(0, p, size=5))
             i, j, d = invariants_mod(c, p)
-            if j == 0 or d == 0:
-                continue
-            found += 1
+            if j != 0 and d != 0:
+                forms.append(c)
+        x1212 = x1212_batch(p, np.array(forms, dtype=np.int64))
+        for c, n_scheme in zip(forms, x1212.tolist()):
             f = QuarticForm.from_coeffs(c, p=p)
             n_curve = point_count(e_prime_of(f))
             n_jac = point_count(jacobian_model(two_two_from_quartic(f)))
-            n_scheme = count_X1212(f)
             if not (n_curve == n_jac == n_scheme):
                 mismatches.append(
                     {

@@ -684,7 +684,6 @@ def census(
     coeff_bound: int,
     height_bound: int | None = None,
     require_s: bool = False,
-    trial_bound: int = 10**6,
     out_csv=None,
 ) -> dict:
     """Aggregate census over the coefficient box |a_i| <= coeff_bound.
@@ -708,7 +707,7 @@ def census(
     if coeff_bound < 0:
         raise ValueError(f"coefficient bound {coeff_bound} is negative")
     if require_s:
-        rows = census_s_rows(coeff_bound, trial_bound)
+        rows = census_s_rows(coeff_bound)
         if height_bound is not None:
             rows = [r for r in rows if r.height < height_bound]
         if out_csv is not None:

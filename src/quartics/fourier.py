@@ -47,7 +47,7 @@ from .forms import (
 )
 from .intfactor import factorize
 from .schemes import eprime_count
-from .vectorized import oracle_n_batch, singular_coeff_array
+from .vectorized import oracle_n_batch
 
 __all__ = [
     "FourierValue",
@@ -182,8 +182,3 @@ def bound_class(p: int, f) -> BoundClass:
         return BoundClass.ORIGIN
     typ = splitting_type_mod(c, p)
     return BoundClass.FAMILY_X if typ.in_family_x else BoundClass.GENERIC
-
-
-def singular_set(p: int) -> np.ndarray:
-    """The cached (p^4 + p^3 - p^2, 5) array of singular forms mod p."""
-    return singular_coeff_array(p)

@@ -3,16 +3,20 @@
 The scalar implementations in forms/schemes/fourier are the contracts;
 everything here is an equivalent vectorized evaluation path for sweeps
 over ~p^5-sized spaces.  All arithmetic is exact: int64 modular work plus
-BLAS float64 products whose integer operands stay far below 2^53.
-The scalar/vectorized agreement is itself part of the test suite.
+BLAS float64 products of nonnegative integers.  The pairing products stay
+below 5 p^2; the oracle's fibre product also carries each form's bincount
+offset, and oracle_n_batch checks in code, before its loop, that its
+largest index is below 2^53.  The scalar/vectorized agreement is itself
+part of the test suite.
 
-Memory discipline: the oracle's fibre products are chunked to at most
-_CHUNK_ENTRIES (2^20) entries per intermediate, 8 MB each, unless one row
-alone needs more (then one row per chunk: p^4 + p^3 - p^2 entries);
-scheme_counts_batch's products to 2M entries.  Beyond those, memory is the
-size of the inputs and outputs: a row set (p^5 x 5 for all_forms_array, a
-(2r+1)^5 x 5 box), a few row-length vectors, and the singular set of about
-p^4 rows.
+Memory discipline, per chunk: the oracle's fibre product holds at most
+_CHUNK_ENTRIES (2^20) entries, 8 MB, and its int64 copy as much again,
+unless one row alone needs more (then one row per chunk: p^4 + p^3 - p^2
+entries); its histogram has k*m bins for k forms, m < 5p^2 + p.  The brute
+scheme counts chunk their products to 2M entries.  Beyond those, memory is
+the size of the inputs and outputs: a row set (p^5 x 5 for
+all_forms_array, a (2r+1)^5 x 5 box), a few row-length vectors, and the
+singular set of about p^4 rows.
 """
 
 from __future__ import annotations
@@ -37,11 +41,11 @@ __all__ = [
     "oracle_n_batch",
     "Case",
     "closed_n_batch",
+    "x1212_batch",
     "scheme_counts_batch",
     "box_coeff_array",
 ]
 
-_CHUNK = 1 << 18
 _CHUNK_ENTRIES = 1 << 20  # entries per oracle fibre-product chunk
 # Per-prime tables cached: the 35 primes 5..157 that divide the moduli of
 # box_sum(80, r), the largest Q of the box-sum grid.  At p = 157 a
@@ -64,17 +68,24 @@ def all_forms_array(p: int) -> np.ndarray:
 
 @lru_cache(maxsize=12)
 def singular_coeff_array(p: int) -> np.ndarray:
-    """(p^4 + p^3 - p^2, 5) array of all singular forms, zero row included."""
+    """(p^4 + p^3 - p^2, 5) array of all singular forms, zero row included,
+    in lexicographic order.
+
+    Each slab of fixed a0 is tested on a broadcast (p, p, p, p) grid of
+    (a1, a2, a3, a4); np.nonzero lists its hits in lexicographic order.
+    """
     check_prime(p, min_exclusive=3)
-    rows = []
-    total = p**5
-    for start in range(0, total, max(_CHUNK, p**4)):
-        stop = min(start + max(_CHUNK, p**4), total)
-        block = coeff_block(p, start, stop)
-        i, j = (v % p for v in invariants_raw(tuple(block.T)))
-        mask = (4 * i**3 - j * j) % p == 0
-        rows.append(block[mask])
-    out = np.concatenate(rows)
+    grid = np.ix_(*[np.arange(p, dtype=np.int64)] * 4)
+    slabs = []
+    for a0 in range(p):
+        i, j = (v % p for v in invariants_raw((a0, *grid)))
+        hits = np.nonzero((4 * i**3 - j * j) % p == 0)
+        slab = np.empty((len(hits[0]), 5), dtype=np.int64)
+        slab[:, 0] = a0
+        for k, col in enumerate(hits, start=1):
+            slab[:, k] = col
+        slabs.append(slab)
+    out = np.concatenate(slabs)
     if len(out) != p**4 + p**3 - p**2:
         raise RuntimeError(f"singular count mismatch at p={p}: {len(out)}")
     return out
@@ -180,17 +191,27 @@ def oracle_n_batch(p: int, forms: np.ndarray, check_fibers: bool = True) -> np.n
             raise RuntimeError("(p-1) does not divide the off-kernel fiber mass")
         return n0 - rest // (p - 1)
 
+    # One float64 product per chunk gives every bincount index at once: the
+    # singular rows carry a ones column and the forms a row of offsets k*m,
+    # so entry (w, k) is k*m plus a representative of 12[w, f_k] in
+    # [0, 5(p-1)^2], below m.  m is a multiple of p, so the (k, m)
+    # histogram folds into the (k, p) fibre histogram over m/p blocks.
+    m = p * (5 * (p - 1) ** 2 // p + 1)
+    step = max(1, _CHUNK_ENTRIES // n_sing)
+    if (step + 1) * m >= 2**53:
+        raise RuntimeError(f"fibre indices at p={p} exceed the float64 exact range")
     w = np.array([12, 3, 2, 3, 12], dtype=np.int64)
-    ws = ((singular_coeff_array(p) * w) % p).astype(np.float64)  # (N, 5)
+    ws = np.ones((n_sing, 6))
+    ws[:, :5] = (singular_coeff_array(p) * w) % p
     out = np.empty(len(forms), dtype=np.int64)
-    step = max(1, _CHUNK_ENTRIES // max(n_sing, 1))
     for start in range(0, len(forms), step):
         stop = min(start + step, len(forms))
-        vals = (ws @ forms[start:stop].T.astype(np.float64)).astype(np.int64) % p
         k = stop - start
-        offsets = np.arange(k, dtype=np.int64) * p
-        np.add(vals, offsets[None, :], out=vals)
-        hist = np.bincount(vals.ravel(), minlength=k * p).reshape(k, p)
+        fs = np.empty((6, k))
+        fs[:5] = forms[start:stop].T
+        fs[5] = np.arange(k) * m
+        idx = (ws @ fs).astype(np.int64).ravel()
+        hist = np.bincount(idx, minlength=k * m).reshape(k, m // p, p).sum(axis=1)
         n0 = hist[:, 0]
         nonzero = hist[:, 1:]
         if np.any(nonzero.max(axis=1) != nonzero.min(axis=1)):
@@ -368,6 +389,35 @@ def _p2_array(p: int) -> np.ndarray:
     )
 
 
+def x1212_batch(p: int, forms: np.ndarray) -> np.ndarray:
+    """Brute #X^f_{1^2 1^2} for every row of forms: the zero pairings of
+    the row against all (p+1)^2 products l1^2 l2^2 over P1 x P1, as one
+    integer product per chunk of at most 2M entries.  A zero row counts
+    every pair."""
+    check_prime(p, min_exclusive=3)
+    forms = np.asarray(forms, dtype=np.int64) % p
+    sqs = [(s0 * s0, 2 * s0 * s1, s1 * s1) for s0, s1 in _p1_points(p)]
+    pairs = [
+        [
+            u[0] * v[0],
+            u[0] * v[1] + u[1] * v[0],
+            u[0] * v[2] + u[1] * v[1] + u[2] * v[0],
+            u[1] * v[2] + u[2] * v[1],
+            u[2] * v[2],
+        ]
+        for u in sqs
+        for v in sqs
+    ]
+    w = np.array([12, 3, 2, 3, 12], dtype=np.int64)
+    rows = (np.array(pairs, dtype=np.int64) * w) % p
+    out = np.empty(len(forms), dtype=np.int64)
+    step = max(1, 2_000_000 // len(rows))
+    for start in range(0, len(forms), step):
+        stop = min(start + step, len(forms))
+        out[start:stop] = np.count_nonzero((rows @ forms[start:stop].T) % p == 0, axis=0)
+    return out
+
+
 def scheme_counts_batch(
     p: int, forms: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -389,24 +439,8 @@ def scheme_counts_batch(
         * w
     ) % p
 
-    pairs = []
-    sqs = [(s0 * s0, 2 * s0 * s1, s1 * s1) for s0, s1 in p1]
-    for u in sqs:
-        for v in sqs:
-            pairs.append(
-                [
-                    u[0] * v[0],
-                    u[0] * v[1] + u[1] * v[0],
-                    u[0] * v[2] + u[1] * v[1] + u[2] * v[0],
-                    u[1] * v[2] + u[2] * v[1],
-                    u[2] * v[2],
-                ]
-            )
-    l12rows = (np.array(pairs, dtype=np.int64) * w) % p
-
     x122 = np.zeros(total, dtype=np.int64)
     x22 = np.zeros(total, dtype=np.int64)
-    x1212 = np.zeros(total, dtype=np.int64)
     step = max(1, 2_000_000 // (p * p + p + 1))
     for start in range(0, total, step):
         stop = min(start + step, total)
@@ -421,8 +455,7 @@ def scheme_counts_batch(
             acc += np.count_nonzero(vals == 0, axis=0)
         x122[start:stop] = acc
         x22[start:stop] = np.count_nonzero((q2rows @ ft) % p == 0, axis=0)
-        x1212[start:stop] = np.count_nonzero((l12rows @ ft) % p == 0, axis=0)
-    return x122, x22, x1212
+    return x122, x22, x1212_batch(p, forms)
 
 
 # ---------------------------------------------------------------------------

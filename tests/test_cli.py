@@ -185,6 +185,53 @@ def test_verify_theorem_without_primes_is_usage_error():
     assert len(proc.stderr.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jacobian-check", "--pmax", "3"],  # no prime > 3
+        ["jacobian-check", "--pmax", "7", "--samples", "0"],
+        ["singular-count", "--rmax", "0"],
+    ],
+)
+def test_vacuous_sweeps_are_usage_errors(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fourier", "--p", "9", "--form", "1,0,0,1,0"],  # 9 is not prime
+        ["schemes", "--p", "9", "--form", "1,0,0,1,0"],
+        ["fourier", "--p", "5", "--form", "1,2,3"],  # three coefficients
+        ["schemes", "--p", "5", "--form", "1,2,3"],
+        ["schemes", "--p", "5", "--form", "0,0,0,0,0"],  # the zero form
+        ["schemes", "--p", "5", "--form", "5,0,10,0,-5"],  # zero mod 5
+    ],
+)
+def test_bad_query_input_exits_two(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_census_unwritable_out_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "no-such-dir" / "rows.csv"
+    code, out, err = run_cli(["census", "--coeff-bound", "1", "--out", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert not path.parent.exists()
+    kept = tmp_path / "kept.csv"
+    kept.write_text("earlier rows\n")
+    code, _, _ = run_cli(["census", "--coeff-bound", "-1", "--out", str(kept)], capsys)
+    assert code == 2
+    assert kept.read_text() == "earlier rows\n"
+
+
 def test_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "quartics.cli", "fourier", "--p", "5", "--form", "0,0,0,0,0"],

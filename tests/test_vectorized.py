@@ -35,7 +35,9 @@ from quartics.vectorized import (
     singular_coeff_array,
     singular_proj_array,
     trace_table,
+    x1212_batch,
 )
+from quartics import vectorized
 
 
 def test_coeff_block_enumeration():
@@ -50,10 +52,13 @@ def test_singular_sets():
     for p in (5, 7, 11):
         sing = singular_coeff_array(p)
         assert len(sing) == p**4 + p**3 - p**2
-        i, j = (
-            12 * sing[:, 0] * sing[:, 4] - 3 * sing[:, 1] * sing[:, 3] + sing[:, 2] ** 2,
-            None,
-        )
+        i, j = invariants_raw(tuple(sing.T))
+        assert not np.any((4 * i**3 - j * j) % p)
+        keys = sing @ p ** np.arange(4, -1, -1)  # lexicographic rank of each row
+        assert np.all(np.diff(keys) > 0)  # distinct and in lexicographic order
+        forms = all_forms_array(p)
+        i, j = invariants_raw(tuple(forms.T))
+        assert np.array_equal(sing, forms[(4 * i**3 - j * j) % p == 0])
         reps = singular_proj_array(p)
         assert len(reps) == p**3 + 2 * p**2 + p + 1
         assert set(map(tuple, reps)) == set(singular_proj_reps(p))
@@ -106,6 +111,26 @@ def test_oracle_batch_modes_agree(p):
         oracle_n_batch(p, forms, check_fibers=True),
         oracle_n_batch(p, forms, check_fibers=False),
     )
+
+
+def test_oracle_fibre_check_rejects_a_nonsingular_row(monkeypatch):
+    # one singular row swapped for x^4 + y^4, Disc != 0 mod 5: the folded
+    # fibre histogram of some form is no longer flat off zero
+    p = 5
+    sing = singular_coeff_array(p).copy()
+    sing[-1] = [1, 0, 0, 0, 1]
+    monkeypatch.setattr(vectorized, "singular_coeff_array", lambda q: sing)
+    with pytest.raises(RuntimeError, match="cone property"):
+        oracle_n_batch(p, all_forms_array(p), check_fibers=True)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 61])
+def test_x1212_batch_vs_scalar(p):
+    forms = np.random.default_rng(p).integers(0, p, size=(40, 5), dtype=np.int64)
+    forms = forms[np.any(forms, axis=1)]
+    batch = x1212_batch(p, forms)
+    for k in range(len(forms)):
+        assert batch[k] == count_X1212(QuarticForm(*(int(v) for v in forms[k]), p=p))
 
 
 def test_count_xf_batch():
