@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from multiprocessing import Pool
 
@@ -95,6 +94,10 @@ def cmd_verify_theorem(ns) -> int:
         return _usage_error(
             "verify-theorem", "no prime > 3 up to --exhaustive-pmax or --sampled-pmax"
         )
+    if sa_primes and ns.samples < 1:
+        return _usage_error("verify-theorem", "--samples must be at least 1")
+    if ns.threads < 1:
+        return _usage_error("verify-theorem", "--threads must be at least 1")
     if ns.threads > 1 and len(tasks) > 1:
         with Pool(ns.threads) as pool:
             results = pool.map(_verify_prime, tasks)
@@ -206,16 +209,20 @@ def cmd_box_sum(ns) -> int:
 def cmd_singular_count(ns) -> int:
     if ns.rmax < 1:
         return _usage_error("singular-count", "--rmax must be at least 1")
+    # one exhaustive scan of the largest box it allows serves every r in it
+    r_scan = ns.rmax
+    while (2 * r_scan + 1) ** 5 > experiments._METHOD_A_LIMIT:
+        r_scan -= 1
+    exhaustive = experiments.family_counts_by_radius(r_scan)
     rows = []
     ok = True
     for r in range(1, ns.rmax + 1):
         _progress(f"singular-count r={r}")
         b = experiments.singular_lattice_count(r, method="b")
         row = {"r": r, "parametrized": b, "ratio_r2": b / (r * r)}
-        if (2 * r + 1) ** 5 <= experiments._METHOD_A_LIMIT:
-            a = experiments.singular_lattice_count(r, method="a")
-            row["exhaustive"] = a
-            if a != b:
+        if r <= r_scan:
+            row["exhaustive"] = exhaustive[r]
+            if exhaustive[r] != b:
                 ok = False
         rows.append(row)
     _emit({"command": "singular-count", "rmax": ns.rmax, "rows": rows, "ok": ok})
@@ -301,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact transform of the singular binary-quartic indicator, "
         "scheme point counts, and lattice experiments.",
     )
-    default_threads = int(os.environ.get("QUARTICS_THREADS", "1"))
     sub = ap.add_subparsers(dest="command", required=True)
 
     vt = sub.add_parser("verify-theorem", help="oracle vs closed-form sweep")
@@ -309,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     vt.add_argument("--sampled-pmax", type=int, default=0)
     vt.add_argument("--samples", type=int, default=200)
     vt.add_argument("--seed", type=int, default=1)
-    vt.add_argument("--threads", type=int, default=default_threads)
+    vt.add_argument("--threads", type=int, default=1)
     vt.set_defaults(func=cmd_verify_theorem)
 
     fo = sub.add_parser("fourier", help="transform value of one form")

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+
+import numpy as np
 
 from .ffarith import check_prime, inv_mod
-from .forms import QuarticForm, invariants, invariants_raw
+from .forms import QuarticForm, height_raw, invariants, invariants_raw
 from .intfactor import primes_below
+from .vectorized import chi_array
 
 __all__ = [
     "WeierstrassCurve",
@@ -57,16 +59,6 @@ def format_curve(E: WeierstrassCurve) -> str:
     return f"{E.c};{E.g2},{E.g1},{E.g0}"
 
 
-@lru_cache(maxsize=64)
-def chi_table(p: int) -> tuple[int, ...]:
-    """Legendre symbol lookup: chi_table(p)[a] = (a/p)."""
-    t = [-1] * p
-    t[0] = 0
-    for x in range(1, p):
-        t[x * x % p] = 1
-    return tuple(t)
-
-
 def _completed_cubic(E: WeierstrassCurve, p: int) -> tuple[int, int, int]:
     # (y + c/2)^2 = x^3 + g2 x^2 + g1 x + (g0 + c^2/4)
     i4 = inv_mod(4, p)
@@ -91,11 +83,10 @@ def point_count(E: WeierstrassCurve, p: int | None = None) -> int:
     a, b, c = _completed_cubic(E, p)
     if _cubic_disc(a, b, c, p) == 0:
         raise ValueError(f"curve {format_curve(E)} is singular mod {p}")
-    chi = chi_table(p)
-    total = p + 1
-    for x in range(p):
-        total += chi[(x * x * x + a * x * x + b * x + c) % p]
-    return total
+    # Horner with a reduction at each step keeps every int64 value below 3p^2
+    x = np.arange(p, dtype=np.int64)
+    values = (((x + a) * x % p + b) * x + c) % p
+    return p + 1 + int(chi_array(p)[values].sum())
 
 
 def trace(E: WeierstrassCurve, p: int | None = None) -> int:
@@ -285,7 +276,6 @@ def model_reduce(f: QuarticForm) -> tuple[int, int, int]:
         if delta % q**12 == 0:
             raise ValueError(f"Disc(f)/2^20 divisible by {q}^12")
     A, B = -i // 48, -j // 1728
-    hf = max(abs(i) ** 3, Fraction(j * j, 4))
-    if curve_height(A, B) * 27648 != hf:
+    if curve_height(A, B) * 27648 != height_raw(i, j):
         raise RuntimeError("height relation H(E) = H(f)/27648 fails (impossible)")
     return a, b, delta

@@ -27,6 +27,7 @@ from .forms import (
     QuarticForm,
     factor_over_Q,
     format_form,
+    height_raw,
     in_family_X,
     invariants,
     invariants_raw,
@@ -38,10 +39,10 @@ from .vectorized import Case, box_coeff_array, chi_array, closed_n_batch
 
 __all__ = [
     "F0",
-    "Box",
     "BoxSumResult",
     "box_sum",
     "singular_lattice_count",
+    "family_counts_by_radius",
     "family_x_forms_in_box",
     "OmegaResult",
     "omega_and_squarefree",
@@ -55,24 +56,6 @@ __all__ = [
 
 #: the anchor form of the congruence class S: -x^4 - 38x^3y - 12x^2y^2 - 8xy^3
 F0 = QuarticForm(-1, -38, -12, -8, 0)
-
-
-@dataclass(frozen=True)
-class Box:
-    """The coefficient box rB = {f : |a_i| <= r}; (2r+1)^5 lattice points."""
-
-    r: int
-
-    def __post_init__(self):
-        if self.r < 1:
-            raise ValueError("positive half-width required")
-
-    @property
-    def size(self) -> int:
-        return (2 * self.r + 1) ** 5
-
-    def coeff_array(self) -> np.ndarray:
-        return box_coeff_array(self.r)
 
 
 def _squarefree_moduli(lo: int, hi: int) -> list[int]:
@@ -259,24 +242,31 @@ def family_x_forms_in_box(r: int) -> set:
 _METHOD_A_LIMIT = 60_000_000
 
 
+def family_counts_by_radius(rmax: int) -> list[int]:
+    """|V(Z) & rB & family| for r = 0..rmax (index r) from one exhaustive
+    scan of rmax B: a vectorized Disc = 0 prefilter, exact Q-factorization
+    of each survivor, and a cumulative histogram of max |a_i| over the
+    members."""
+    if (2 * rmax + 1) ** 5 > _METHOD_A_LIMIT:
+        raise ValueError(f"box (2*{rmax}+1)^5 too large for the exhaustive scan")
+    box = box_coeff_array(rmax)
+    i, j = invariants_raw(tuple(box.T))
+    cand = box[4 * i**3 - j * j == 0]
+    member = np.array(
+        [in_family_X(QuarticForm.from_coeffs(row)) for row in cand], dtype=bool
+    )
+    radius = np.abs(cand[member]).max(axis=1)
+    return np.cumsum(np.bincount(radius, minlength=rmax + 1)).tolist()
+
+
 def singular_lattice_count(r: int, method: str = "both") -> int:
     """|V(Z) & rB & family|: method "a" scans the whole box exhaustively
-    (with a vectorized Disc = 0 prefilter; membership among the survivors
-    is decided by exact Q-factorization), method "b" enumerates the two
-    parametrizing families with dedup, "both" runs and cross-checks."""
+    (family_counts_by_radius), method "b" enumerates the two parametrizing
+    families with dedup, "both" runs and cross-checks."""
     if method not in ("a", "b", "both"):
         raise ValueError("method must be 'a', 'b' or 'both'")
     count_b = len(family_x_forms_in_box(r)) if method in ("b", "both") else None
-    count_a = None
-    if method in ("a", "both"):
-        if (2 * r + 1) ** 5 > _METHOD_A_LIMIT:
-            raise ValueError(f"box (2*{r}+1)^5 too large for the exhaustive scan")
-        box = box_coeff_array(r)
-        i, j = invariants_raw(tuple(box.T))
-        cand = box[4 * i**3 - j * j == 0]
-        count_a = sum(
-            1 for row in cand if in_family_X(QuarticForm.from_coeffs(row))
-        )
+    count_a = family_counts_by_radius(r)[r] if method in ("a", "both") else None
     if method == "a":
         return count_a
     if method == "b":
@@ -359,37 +349,31 @@ class CensusRow:
             and self.r_soluble
         )
 
-    def csv_record(self) -> list:
-        return [
-            format_form(self.coeffs),
-            *[int(v) for v in self.coeffs],
-            self.i,
-            self.j,
-            self.disc,
-            _decimal_str(self.height),
-            "" if self.omega is None else self.omega,
-            _bool_str(self.squarefree),
-            _bool_str(self.irreducible),
-            _bool_str(self.r_soluble),
-            _bool_str(self.in_s),
-        ]
 
-
-def _bool_str(b: bool) -> str:
-    return "true" if b else "false"
+def _csv_record(coeffs, i: int, j: int, omega: int | None, flags) -> list:
+    """One CSV row (CSV_HEADER) from int coefficients, I, J, Omega (None
+    when Disc = 0) and the flags (squarefree, irreducible, r_soluble,
+    in_s); Disc and the height follow from I and J."""
+    return [
+        format_form(coeffs),
+        *coeffs,
+        i,
+        j,
+        (4 * i**3 - j * j) // 27,
+        _decimal_str(height_raw(i, j)),
+        "" if omega is None else omega,
+        *("true" if b else "false" for b in flags),
+    ]
 
 
 def _decimal_str(h) -> str:
+    """A height as a decimal: an int, or J^2/4 for odd J, which ends in .25."""
     if isinstance(h, int):
         return str(h)
-    num, den = h.numerator, h.denominator
-    if den == 1:
-        return str(num)
-    if den == 2:
-        return f"{num // 2}.5"
-    assert den == 4
-    q, rem = divmod(num, 4)
-    return f"{q}.{'25' if rem == 1 else '75'}"
+    q, rem = divmod(h.numerator, 4)
+    if h.denominator != 4 or rem != 1:
+        raise RuntimeError(f"height {h} is not an odd square over 4")
+    return f"{q}.25"
 
 
 def _is_in_s(coeffs) -> bool:
@@ -405,8 +389,6 @@ def _is_irreducible(f: QuarticForm) -> bool:
 
 def census_row(f: QuarticForm, trial_bound: int = 10**6) -> CensusRow:
     """Full per-form census record (exact, scalar path)."""
-    from .forms import height as form_height
-
     i, j, disc = invariants(f)
     in_s = _is_in_s(f.coeffs)
     dprime = disc
@@ -424,7 +406,7 @@ def census_row(f: QuarticForm, trial_bound: int = 10**6) -> CensusRow:
         i=i,
         j=j,
         disc=disc,
-        height=form_height(f),
+        height=height_raw(i, j),
         omega=om,
         squarefree=sq,
         omega_complete=complete,
@@ -490,8 +472,9 @@ def write_census_csv(rows, path) -> None:
     with open(path, "w", newline="") as out:
         w = csv.writer(out)
         w.writerow(CSV_HEADER)
-        for row in rows:
-            w.writerow(row.csv_record())
+        for r in rows:
+            flags = (r.squarefree, r.irreducible, r.r_soluble, r.in_s)
+            w.writerow(_csv_record(r.coeffs, r.i, r.j, r.omega, flags))
 
 
 # -- vectorized aggregate engine --------------------------------------------
@@ -791,8 +774,19 @@ def census(
                 irr = _batch_irreducible(cols, cidx)
                 totals["passing_all"] += int(irr.sum())
                 if writer is not None:
-                    for r in cidx[irr]:
-                        writer.writerow(_record_from_arrays(cols, i, j, om, sq, int(r)))
+                    # the rows passed irreducibility and solubility, and the
+                    # engine's range lies below the S anchor box
+                    rows = cidx[irr]
+                    writer.writerows(
+                        _csv_record(coeffs, iv, jv, o, (s, True, True, False))
+                        for coeffs, iv, jv, o, s in zip(
+                            np.stack([c[rows] for c in cols], axis=1).tolist(),
+                            i[rows].tolist(),
+                            j[rows].tolist(),
+                            om[rows].tolist(),
+                            sq[rows].tolist(),
+                        )
+                    )
     finally:
         if out_handle is not None:
             out_handle.close()
@@ -806,26 +800,6 @@ def census(
         **totals,
     )
     return agg
-
-
-def _record_from_arrays(cols, i, j, om, sq, k) -> list:
-    coeffs = tuple(int(c[k]) for c in cols)
-    iv, jv = int(i[k]), int(j[k])
-    h = max(Fraction(abs(iv) ** 3), Fraction(jv * jv, 4))
-    h = int(h) if h.denominator == 1 else h
-    return [
-        format_form(coeffs),
-        *coeffs,
-        iv,
-        jv,
-        (4 * iv**3 - jv * jv) // 27,
-        _decimal_str(h),
-        int(om[k]),
-        _bool_str(bool(sq[k])),
-        _bool_str(True),  # rows reaching the writer passed irreducibility
-        _bool_str(True),  # and solubility
-        _bool_str(False),  # engine range lies below the S anchor box
-    ]
 
 
 def _aggregate_from_rows(rows) -> dict:

@@ -9,6 +9,7 @@ zero polynomial).  All functions are pure and safe for parallel use.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 from .intfactor import is_prime
 
@@ -23,6 +24,7 @@ __all__ = [
     "poly_gcd",
     "poly_mulmod",
     "poly_mod",
+    "proj_reps",
 ]
 
 
@@ -110,6 +112,15 @@ def sqrt_mod(a: int, p: int) -> int | None:
         m, c = i, b * b % p
         t, r = t * c % p, r * b % p
     return r
+
+
+def proj_reps(p: int, length: int):
+    """Canonical representatives of P^(length-1)(F_p): the tuples whose
+    first nonzero coordinate is 1, by the position of that 1, then
+    lexicographically in the coordinates after it."""
+    for lead in range(length):
+        for tail in product(range(p), repeat=length - lead - 1):
+            yield (0,) * lead + (1,) + tail
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ __all__ = [
     "in_family_X",
     "is_R_soluble",
     "height",
+    "height_raw",
 ]
 
 Coeffs = tuple[int, int, int, int, int]
@@ -245,6 +246,7 @@ def hessian_raw(c: Coeffs) -> Coeffs:
 
 
 def hessian_mod(c: Coeffs, p: int) -> Coeffs:
+    """He_f mod p; like invariants_raw, it also takes five numpy columns."""
     return tuple(v % p for v in hessian_raw(c))  # type: ignore[return-value]
 
 
@@ -522,7 +524,8 @@ def _poly_divmod_exact(num: list[int], den: list[int]) -> list[int] | None:
         q.append(c)
         for i, d in enumerate(den):
             num[i] -= c * d
-        assert num[0] == 0
+        if num[0] != 0:
+            raise RuntimeError(f"leading term survived division by {den}")
         num.pop(0)
     return None if any(num) else q
 
@@ -609,7 +612,8 @@ def factor_over_Q(f: QuarticForm) -> tuple[int, list[tuple[tuple[int, ...], int]
                             if Q is None:
                                 break
                             P, m = Q, m + 1
-                        assert m > 0
+                        if m == 0:
+                            raise RuntimeError(f"root {u}/{v} of {P} does not divide it")
                         factors.append((_normalize_factor([v, -u]), m))
                         found = True
                         break
@@ -644,8 +648,8 @@ def factor_over_Q(f: QuarticForm) -> tuple[int, list[tuple[tuple[int, ...], int]
             check = _conv(check, fac)
     if list(check) == [-c for c in prim]:
         content = -content
-    else:
-        assert list(check) == list(prim), (check, prim, factors)
+    elif list(check) != list(prim):
+        raise RuntimeError(f"factors {factors} multiply to {check}, not {prim}")
     return content, factors
 
 
@@ -734,6 +738,13 @@ def height(f: QuarticForm):
     """H(f) = max(|I|^3, J^2/4) as an exact int (or Fraction for odd J)."""
     if f.p is not None:
         raise ValueError("heights are for integral forms")
-    i, j = invariants_raw(f.coeffs)
-    h = max(Fraction(abs(i) ** 3), Fraction(j * j, 4))
-    return int(h) if h.denominator == 1 else h
+    return height_raw(*invariants_raw(f.coeffs))
+
+
+def height_raw(i: int, j: int):
+    """max(|I|^3, J^2/4) from the invariants: an int unless J is odd and
+    J^2/4 is the larger, then a Fraction with denominator 4."""
+    i3 = abs(i) ** 3
+    if 4 * i3 >= j * j:
+        return i3
+    return j * j // 4 if j % 2 == 0 else Fraction(j * j, 4)

@@ -25,9 +25,10 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
+from itertools import product
 
 from .elliptic import WeierstrassCurve, point_count
-from .ffarith import chi12, check_prime, legendre
+from .ffarith import chi12, check_prime, legendre, poly_gcd, proj_reps
 from .forms import (
     Coeffs,
     QuarticForm,
@@ -40,7 +41,6 @@ from .forms import (
     quartic_square_root_mod,
     splitting_type_mod,
 )
-from .ffarith import poly_gcd
 
 __all__ = [
     "SemidegCase",
@@ -55,9 +55,6 @@ __all__ = [
     "count_X122",
     "count_X22",
     "count_X1212",
-    "closed_X122",
-    "closed_X22",
-    "closed_X1212",
     "closed_scheme_counts",
     "eprime_count",
     "semideg_classify",
@@ -97,7 +94,7 @@ def brute_count_singular_forms(p: int) -> int:
     """Companion exhaustive counter over all p^5 forms."""
     check_prime(p, min_exclusive=3)
     count = 0
-    for c in _all_coeff_tuples(p):
+    for c in product(range(p), repeat=5):
         i, j = invariants_raw(c)
         if (4 * pow(i, 3, p) - j * j) % p == 0:
             count += 1
@@ -120,7 +117,7 @@ def brute_count_squarefree_forms(n: int, p: int) -> int:
         raise ValueError("n >= 3 required")
     check_prime(p)
     reps = 0
-    for c in _proj_reps(p, n + 1):
+    for c in proj_reps(p, n + 1):
         if _is_squarefree_form(c, p):
             reps += 1
     return reps * (p - 1)
@@ -154,45 +151,14 @@ def brute_count_X(p: int) -> int:
 # Projective enumeration (canonical first-nonzero-is-1 representatives)
 
 
-def _all_coeff_tuples(p: int):
-    rng = range(p)
-    for a0 in rng:
-        for a1 in rng:
-            for a2 in rng:
-                for a3 in rng:
-                    for a4 in rng:
-                        yield (a0, a1, a2, a3, a4)
-
-
-def _proj_reps(p: int, length: int):
-    for lead in range(length):
-        prefix = (0,) * lead + (1,)
-        free = length - lead - 1
-        if free == 0:
-            yield prefix
-            continue
-        for tail in _tuples(p, free):
-            yield prefix + tail
-
-
-def _tuples(p: int, length: int):
-    if length == 1:
-        for v in range(p):
-            yield (v,)
-        return
-    for head in range(p):
-        for tail in _tuples(p, length - 1):
-            yield (head,) + tail
-
-
 @lru_cache(maxsize=32)
 def proj_p1_points(p: int) -> tuple:
-    return tuple(_proj_reps(p, 2))
+    return tuple(proj_reps(p, 2))
 
 
 @lru_cache(maxsize=32)
 def proj_p2_points(p: int) -> tuple:
-    return tuple(_proj_reps(p, 3))
+    return tuple(proj_reps(p, 3))
 
 
 @lru_cache(maxsize=16)
@@ -200,7 +166,7 @@ def singular_proj_reps(p: int) -> tuple:
     """Canonical representatives of X(F_p) in P(V)."""
     check_prime(p, min_exclusive=3)
     out = []
-    for c in _proj_reps(p, 5):
+    for c in proj_reps(p, 5):
         i, j = invariants_raw(c)
         if (4 * pow(i % p, 3, p) - j * j) % p == 0:
             out.append(c)
@@ -404,20 +370,3 @@ def closed_scheme_counts(f: QuarticForm) -> tuple[int, int, int]:
     if typ is SplittingType.D22:
         return x122, x22, (p + 1) - chi3 * (p + 1)
     raise RuntimeError(f"nondegenerate type {typ} with Disc = 0 (impossible)")
-
-
-def closed_X122(f: QuarticForm) -> int:
-    """(p+1)^2, or 2p^2 + 2p + 1 when f has a root of multiplicity >= 3."""
-    return closed_scheme_counts(f)[0]
-
-
-def closed_X22(f: QuarticForm) -> int:
-    """p+1 for J != 0 or type (1^4); 2p+1 / 1 in the semideg split/non-split
-    cases; 2p+1 for type (1^3 1)."""
-    return closed_scheme_counts(f)[1]
-
-
-def closed_X1212(f: QuarticForm) -> int:
-    """#E'_f(F_p) in the generic case, the semideg case counts otherwise,
-    and the per-type closed values on the degenerate locus."""
-    return closed_scheme_counts(f)[2]

@@ -26,11 +26,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .ffarith import check_prime, chi12
-from .forms import invariants_raw
+from .ffarith import check_prime, chi12, proj_reps
+from .forms import hessian_mod, invariants_raw
 
 __all__ = [
-    "coeff_block",
     "singular_coeff_array",
     "singular_proj_array",
     "all_forms_array",
@@ -54,16 +53,11 @@ _CHUNK_ENTRIES = 1 << 20  # entries per oracle fibre-product chunk
 _PRIME_TABLES = 35
 
 
-def coeff_block(p: int, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop of the lexicographic enumeration of V(F_p)."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    cols = [(idx // p ** (4 - k)) % p for k in range(5)]
-    return np.stack(cols, axis=1)
-
-
 def all_forms_array(p: int) -> np.ndarray:
-    """All p^5 coefficient rows (only sensible for small p)."""
-    return coeff_block(p, 0, p**5)
+    """All p^5 coefficient rows in lexicographic order (only sensible for
+    small p)."""
+    idx = np.arange(p**5, dtype=np.int64)
+    return np.stack([(idx // p ** (4 - k)) % p for k in range(5)], axis=1)
 
 
 @lru_cache(maxsize=12)
@@ -227,17 +221,6 @@ def oracle_n_batch(p: int, forms: np.ndarray, check_fibers: bool = True) -> np.n
 # Closed formula, fully vectorized
 
 
-def _hessian_cols(cols, p):
-    a0, a1, a2, a3, a4 = cols
-    return (
-        (9 * a1 * a1 - 24 * a0 * a2) % p,
-        (12 * a1 * a2 - 72 * a0 * a3) % p,
-        (12 * a2 * a2 - 18 * a1 * a3 - 144 * a0 * a4) % p,
-        (12 * a2 * a3 - 72 * a1 * a4) % p,
-        (9 * a3 * a3 - 24 * a2 * a4) % p,
-    )
-
-
 _EVAL_POINTS = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2))  # pairwise distinct in P1 for p >= 5
 
 
@@ -328,7 +311,7 @@ def closed_n_batch(
     rows = np.flatnonzero(cases == Case.DOUBLE)
     if len(rows):
         sub = tuple((np.take(forms, rows, axis=0) % p).T)
-        he = _hessian_cols(sub, p)
+        he = hessian_mod(sub, p)
         prop = np.ones(len(rows), dtype=bool)
         for a in range(5):
             for b in range(a + 1, 5):
@@ -376,19 +359,6 @@ def closed_n_batch(
 # Brute scheme counts, vectorized over forms
 
 
-def _p1_points(p: int):
-    return [(1, t) for t in range(p)] + [(0, 1)]
-
-
-def _p2_array(p: int) -> np.ndarray:
-    return np.array(
-        [(1, a, b) for a in range(p) for b in range(p)]
-        + [(0, 1, b) for b in range(p)]
-        + [(0, 0, 1)],
-        dtype=np.int64,
-    )
-
-
 def x1212_batch(p: int, forms: np.ndarray) -> np.ndarray:
     """Brute #X^f_{1^2 1^2} for every row of forms: the zero pairings of
     the row against all (p+1)^2 products l1^2 l2^2 over P1 x P1, as one
@@ -396,7 +366,7 @@ def x1212_batch(p: int, forms: np.ndarray) -> np.ndarray:
     every pair."""
     check_prime(p, min_exclusive=3)
     forms = np.asarray(forms, dtype=np.int64) % p
-    sqs = [(s0 * s0, 2 * s0 * s1, s1 * s1) for s0, s1 in _p1_points(p)]
+    sqs = [(s0 * s0, 2 * s0 * s1, s1 * s1) for s0, s1 in proj_reps(p, 2)]
     pairs = [
         [
             u[0] * v[0],
@@ -426,8 +396,7 @@ def scheme_counts_batch(
     check_prime(p, min_exclusive=3)
     forms = np.asarray(forms, dtype=np.int64) % p
     total = len(forms)
-    p1 = _p1_points(p)
-    p2 = _p2_array(p)
+    p2 = np.array(list(proj_reps(p, 3)), dtype=np.int64)
     w = np.array([12, 3, 2, 3, 12], dtype=np.int64)
 
     t0, t1, t2 = p2.T
@@ -447,7 +416,7 @@ def scheme_counts_batch(
         ft = forms[start:stop].T
         f0, f1, f2, f3, f4 = ft
         acc = np.zeros(stop - start, dtype=np.int64)
-        for s0, s1 in p1:
+        for s0, s1 in proj_reps(p, 2):
             c0 = (12 * f0 * s0 * s0 + 6 * f1 * s0 * s1 + 2 * f2 * s1 * s1) % p
             c1 = (3 * f1 * s0 * s0 + 4 * f2 * s0 * s1 + 3 * f3 * s1 * s1) % p
             c2 = (2 * f2 * s0 * s0 + 6 * f3 * s0 * s1 + 12 * f4 * s1 * s1) % p

@@ -101,10 +101,10 @@ def test_c04_scheme_propositions():
                 int(bx22[k]),
                 int(bx1212[k]),
             ), (p, tuple(forms[k]))
-    from quartics.schemes import _proj_reps
+    from quartics.ffarith import proj_reps
 
     for p in (5, 7):
-        for c in _proj_reps(p, 5):
+        for c in proj_reps(p, 5):
             h = QuarticForm(*c, p=p)
             assert psi_fiber_counts(h) == FIBER_TABLE.get(
                 splitting_type(h), (0, 0, 0)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -191,6 +192,8 @@ def test_verify_theorem_without_primes_is_usage_error():
         ["jacobian-check", "--pmax", "3"],  # no prime > 3
         ["jacobian-check", "--pmax", "7", "--samples", "0"],
         ["singular-count", "--rmax", "0"],
+        ["verify-theorem", "--exhaustive-pmax", "5", "--sampled-pmax", "11", "--samples", "0"],
+        ["verify-theorem", "--exhaustive-pmax", "5", "--sampled-pmax", "11", "--samples", "-1"],
     ],
 )
 def test_vacuous_sweeps_are_usage_errors(argv, capsys):
@@ -216,6 +219,44 @@ def test_bad_query_input_exits_two(argv, capsys):
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1
+
+
+def test_threads_flag_alone_sets_threads():
+    # --threads below 1 is a usage error; QUARTICS_THREADS is not read
+    env = dict(os.environ, QUARTICS_THREADS="abc")
+    argv = [sys.executable, "-m", "quartics.cli", "verify-theorem", "--exhaustive-pmax", "5"]
+    proc = subprocess.run([*argv, "--threads", "-3"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.strip().splitlines()) == 1
+    proc = subprocess.run(
+        [sys.executable, "-m", "quartics.cli", "census", "--coeff-bound", "1"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["total_forms"] == 243
+
+
+def test_singular_count_scans_each_box_once(capsys, monkeypatch):
+    # in_family_X runs once per Disc = 0 row of 3B, not again for 1B and 2B
+    import numpy as np
+
+    from quartics import experiments
+    from quartics.forms import in_family_X, invariants_raw
+    from quartics.vectorized import box_coeff_array
+
+    calls = []
+    monkeypatch.setattr(
+        experiments, "in_family_X", lambda f: calls.append(f) or in_family_X(f)
+    )
+    code, out, _ = run_cli(["singular-count", "--rmax", "3"], capsys)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["exhaustive"] for row in rows] == [row["parametrized"] for row in rows]
+    i, j = invariants_raw(tuple(box_coeff_array(3).T))
+    assert len(calls) == int(np.count_nonzero(4 * i**3 == j * j))
 
 
 def test_census_unwritable_out_is_usage_error(capsys, tmp_path):

@@ -7,12 +7,12 @@ import pytest
 from quartics.experiments import (
     CSV_HEADER,
     F0,
-    Box,
     box_sum,
     census,
     census_row,
     census_rows,
     census_s_rows,
+    family_counts_by_radius,
     family_x_forms_in_box,
     omega_and_squarefree,
     singular_lattice_count,
@@ -26,15 +26,8 @@ from quartics.experiments import (
     _check_headroom,
     _is_irreducible,
 )
-from quartics.forms import QuarticForm, in_family_X, is_R_soluble
+from quartics.forms import QuarticForm, in_family_X, invariants_raw, is_R_soluble
 from quartics.vectorized import _case_tables, box_coeff_array
-
-
-def test_box():
-    assert Box(2).size == 3125
-    assert Box(1).coeff_array().shape == (243, 5)
-    with pytest.raises(ValueError):
-        Box(0)
 
 
 def test_omega_examples():
@@ -70,6 +63,20 @@ def test_singular_lattice_counts_small():
         assert a == b
         assert singular_lattice_count(r, method="both") == a
     assert singular_lattice_count(1) == 19
+
+
+def test_family_counts_by_radius_scan_once(monkeypatch):
+    # one scan of 3B decides each Disc = 0 row once and counts every r <= 3
+    box = box_coeff_array(3)
+    i, j = invariants_raw(tuple(box.T))
+    calls = []
+    monkeypatch.setattr(
+        experiments, "in_family_X", lambda f: calls.append(f) or in_family_X(f)
+    )
+    counts = family_counts_by_radius(3)
+    assert len(calls) == int(np.count_nonzero(4 * i**3 == j * j))
+    assert counts[0] == 1  # the zero form
+    assert counts[1:] == [len(family_x_forms_in_box(r)) for r in (1, 2, 3)]
 
 
 def test_family_box_contains_zero_once():

@@ -9,6 +9,7 @@ from quartics.ffarith import (
     poly_gcd,
     poly_mod,
     poly_powmod,
+    proj_reps,
     quadratic_nonresidue,
     sqrt_mod,
 )
@@ -137,6 +138,15 @@ def test_check_prime_rejects_non_ints_every_time():
     for bad in (5.0, "5", [5], {5: 1}, True, 9, 9):
         with pytest.raises(ValueError):
             check_prime(bad)
+
+
+def test_proj_reps_order_and_count():
+    assert list(proj_reps(3, 2)) == [(1, 0), (1, 1), (1, 2), (0, 1)]
+    assert list(proj_reps(3, 3))[-4:] == [(0, 1, 0), (0, 1, 1), (0, 1, 2), (0, 0, 1)]
+    for p, n in ((5, 2), (5, 3), (7, 5)):
+        reps = list(proj_reps(p, n))
+        assert len(reps) == len(set(reps)) == (p**n - 1) // (p - 1)
+        assert all(next(v for v in c if v) == 1 for c in reps)
 
 
 def test_is_prime_small():

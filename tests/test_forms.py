@@ -454,6 +454,15 @@ def test_factor_quadratic_pairs():
     assert factors == [((1, 1, 3), 2)]
 
 
+def test_factor_product_check_survives_optimization(monkeypatch):
+    # a wrong quadratic split must raise, also under python -O
+    from quartics import forms
+
+    monkeypatch.setattr(forms, "_quadratic_splits", lambda P: ([1, 0, 1], [1, 0, 1]))
+    with pytest.raises(RuntimeError):
+        factor_over_Q(QuarticForm(1, 0, 0, 0, 1))
+
+
 # ---------------------------------------------------------------------------
 # family membership, solubility, heights
 

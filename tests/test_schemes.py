@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from quartics.ffarith import chi12, legendre, quadratic_nonresidue
+from quartics.ffarith import chi12, legendre, proj_reps, quadratic_nonresidue
 from quartics.forms import QuarticForm, act, invariants_mod, pairing12, splitting_type, SplittingType
 from quartics.schemes import (
     SemidegCase,
@@ -11,9 +11,6 @@ from quartics.schemes import (
     brute_count_squarefree_forms,
     brute_count_X,
     closed_scheme_counts,
-    closed_X122,
-    closed_X1212,
-    closed_X22,
     count_singular_forms,
     count_squarefree_forms,
     count_X,
@@ -82,9 +79,7 @@ def test_fiber_examples():
 def test_fiber_table_exhaustive(p):
     # one pass over P(V): fibers match the per-type table and the
     # indicator identity 1_{Disc=0} = m1 + m2 - m3
-    from quartics.schemes import _proj_reps
-
-    for c in _proj_reps(p, 5):
+    for c in proj_reps(p, 5):
         h = QuarticForm(*c, p=p)
         m = psi_fiber_counts(h)
         t = splitting_type(h)
@@ -94,8 +89,6 @@ def test_fiber_table_exhaustive(p):
 
 def test_fiber_sum_identity():
     # summing fibers over the hyperplane section reproduces the scheme counts
-    from quartics.schemes import _proj_reps
-
     rng = random.Random(3)
     for p in (5, 7):
         for _ in range(4):
@@ -104,7 +97,7 @@ def test_fiber_sum_identity():
                 continue
             f = QuarticForm(*c, p=p)
             sums = [0, 0, 0]
-            for h in _proj_reps(p, 5):
+            for h in proj_reps(p, 5):
                 if pairing12(h, c) % p == 0:
                     m = psi_fiber_counts(QuarticForm(*h, p=p))
                     for k in range(3):
@@ -134,19 +127,18 @@ def test_count_xf_fourier_identity(p):
 
 def test_scheme_count_examples():
     x3y5 = QuarticForm(0, 1, 0, 0, 0, p=5)
-    assert count_X122(x3y5) == 61 == closed_X122(x3y5)
+    assert (count_X122(x3y5), count_X22(x3y5), count_X1212(x3y5)) == (61, 11, 16)
+    assert closed_scheme_counts(x3y5) == (61, 11, 16)
     x4 = QuarticForm(1, 0, 0, 0, 0, p=5)
-    assert count_X122(x4) == 61 == closed_X122(x4)
-    assert count_X22(x3y5) == 11 == closed_X22(x3y5)
-    assert count_X1212(x3y5) == 16 == closed_X1212(x3y5)
+    assert count_X122(x4) == 61 == closed_scheme_counts(x4)[0]
     f1211 = QuarticForm(1, 0, 1, 0, 0, p=5)  # x^2 (x^2 + y^2), type (1^2 11)
     assert splitting_type(f1211) is SplittingType.D1211
-    assert count_X1212(f1211) == 6 - chi12(5) == 7 == closed_X1212(f1211)
-    assert count_X22(f1211) == 6 == closed_X22(f1211)
+    assert count_X1212(f1211) == 6 - chi12(5) == 7 == closed_scheme_counts(f1211)[2]
+    assert count_X22(f1211) == 6 == closed_scheme_counts(f1211)[1]
     f4 = QuarticForm(1, 0, 0, 0, 1, p=5)
-    assert count_X122(f4) == 36 == closed_X122(f4)
+    assert count_X122(f4) == 36 == closed_scheme_counts(f4)[0]
     gen = QuarticForm(1, 0, 0, 1, 0, p=5)
-    assert count_X1212(gen) == 6 == closed_X1212(gen)
+    assert count_X1212(gen) == 6 == closed_scheme_counts(gen)[2]
     assert eprime_count(5, 0, -27 % 5) == 6
 
 
@@ -189,7 +181,7 @@ def test_semideg_classification():
     # x^4 + y^4 mod 5: rational summand lines, He a square
     f = QuarticForm(1, 0, 0, 0, 1, p=5)
     assert semideg_classify(f) is SemidegCase.I
-    assert count_X1212(f) == 2 * 5 == closed_X1212(f)
+    assert count_X1212(f) == 2 * 5 == closed_scheme_counts(f)[2]
     with pytest.raises(ValueError):
         semideg_classify(QuarticForm(1, 0, 0, 1, 0, p=5))  # J != 0
 

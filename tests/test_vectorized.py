@@ -27,7 +27,6 @@ from quartics.vectorized import (
     box_coeff_array,
     chi_array,
     closed_n_batch,
-    coeff_block,
     count_xf_batch,
     inv_array,
     oracle_n_batch,
@@ -40,12 +39,12 @@ from quartics.vectorized import (
 from quartics import vectorized
 
 
-def test_coeff_block_enumeration():
-    b = coeff_block(5, 0, 10)
-    assert b.shape == (10, 5)
+def test_all_forms_enumeration():
+    b = all_forms_array(5)
+    assert b.shape == (5**5, 5)
     assert list(b[0]) == [0, 0, 0, 0, 0]
     assert list(b[7]) == [0, 0, 0, 1, 2]
-    assert len(all_forms_array(5)) == 5**5
+    assert list(b[-1]) == [4, 4, 4, 4, 4]
 
 
 def test_singular_sets():
