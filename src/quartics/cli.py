@@ -209,22 +209,18 @@ def cmd_box_sum(ns) -> int:
 def cmd_singular_count(ns) -> int:
     if ns.rmax < 1:
         return _usage_error("singular-count", "--rmax must be at least 1")
-    # one exhaustive scan of the largest box it allows serves every r in it
-    r_scan = ns.rmax
-    while (2 * r_scan + 1) ** 5 > experiments._METHOD_A_LIMIT:
-        r_scan -= 1
-    exhaustive = experiments.family_counts_by_radius(r_scan)
+    # one exhaustive scan of the largest box serves every r in it
+    exhaustive = experiments.family_counts_by_radius(ns.rmax)
     rows = []
     ok = True
     for r in range(1, ns.rmax + 1):
         _progress(f"singular-count r={r}")
         b = experiments.singular_lattice_count(r, method="b")
-        row = {"r": r, "parametrized": b, "ratio_r2": b / (r * r)}
-        if r <= r_scan:
-            row["exhaustive"] = exhaustive[r]
-            if exhaustive[r] != b:
-                ok = False
-        rows.append(row)
+        rows.append(
+            {"r": r, "parametrized": b, "ratio_r2": b / (r * r), "exhaustive": exhaustive[r]}
+        )
+        if exhaustive[r] != b:
+            ok = False
     _emit({"command": "singular-count", "rmax": ns.rmax, "rows": rows, "ok": ok})
     return 0 if ok else 1
 

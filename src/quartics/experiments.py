@@ -3,16 +3,20 @@ squarefree moduli, integral points on the triple/double-double family in
 coefficient boxes, and the almost-prime squarefree-discriminant census.
 
 Everything is exact: box sums aggregate integer numerators per modulus and
-only then become Fractions.  The census engine sweeps its box twice, in
-slabs of fixed a0.  Disc depends on (I, J) alone, so the first pass
+only then become Fractions.  Every sweep of a coefficient box runs over
+orbit representatives, one slab of fixed a0 at a time (_orbit_slabs), and
+counts each with its orbit size: x <-> y and y -> -y fix every census
+field, and together with f -> -f they fix n mod p and family membership,
+which box sums and singular counts read.  The census engine sweeps its
+representatives twice.  Disc depends on (I, J) alone, so the first pass
 collects the box's distinct (I, J) pairs as int64 keys and factors each
 distinct |Disc| once, by complete trial division (deterministic
 Miller-Rabin for large prime cofactors); the second reads each row's Omega
 and squarefreeness through its key.  Real solubility is decided by sign
-analysis plus Sturm sequences, and irreducibility by mod-p certificates
-(no root, one root, and Stickelberger's discriminant parity) with exact
-factorization over Q for the rows no certificate decides.
-"""
+analysis, with the square locus He_f || f on Disc = 0, and irreducibility
+by mod-p certificates (no root, one root, and Stickelberger's discriminant
+parity) with exact factorization over Q for the rows no certificate
+decides."""
 
 from __future__ import annotations
 
@@ -28,6 +32,7 @@ from .forms import (
     factor_over_Q,
     format_form,
     height_raw,
+    hessian_raw,
     in_family_X,
     invariants,
     invariants_raw,
@@ -35,7 +40,7 @@ from .forms import (
 )
 from .elliptic import S_MODULUS
 from .intfactor import FactorResult, factorize, is_prime, primes_below
-from .vectorized import Case, box_coeff_array, chi_array, closed_n_batch
+from .vectorized import Case, chi_array, closed_n_batch
 
 __all__ = [
     "F0",
@@ -84,41 +89,53 @@ def box_sum(Q: int, r: int) -> BoxSumResult:
     """S(Q, r) = sum over squarefree q in [Q, 2Q] and nonzero f in rB of
     |Phi_hat_q(f)|, exactly.
 
-    The box's integer invariants I and J are computed once.  For each prime
-    p > 3 dividing some q, closed_n_batch reduces them mod p and returns
-    |n| over the box, together with each row's case; the cases of the
-    family rows are all the in-family sub-sums need of p.  The |n| vector
-    over the whole box is kept only for a prime that shares a modulus
-    with another prime > 3, where the product needs it; every other prime
-    keeps its sum and its family rows.  The inner sum for a fixed q is an
-    integer once scaled by q'^5 (q' = q with the 2- and 3-parts removed),
-    so the double sum is a short exact Fraction aggregation.
+    n(f) mod p is invariant under x <-> y, y -> -y and f -> -f, so the sum
+    runs over the 8-fold orbit representatives of the box
+    (_orbit_slabs), each weighted by its orbit size; the zero form is its
+    own orbit and gets weight 0.  Their integer invariants I and J are
+    computed once.  For each prime p > 3 dividing some q, closed_n_batch
+    reduces them mod p and returns |n| on the representatives, together
+    with each one's case; the family is a union of orbits, so its
+    representatives' cases are all the in-family sub-sums need of p.  The
+    |n| vector is kept only for a prime that shares a modulus with another
+    prime > 3, where the product needs it; every other prime keeps its
+    weighted sum and its family representatives.  The inner sum for a
+    fixed q is an integer once scaled by q'^5 (q' = q with the 2- and
+    3-parts removed), so the double sum is a short exact Fraction
+    aggregation.
     """
     if r < 1:
         raise ValueError("positive half-width required")
     if Q <= r:
         raise ValueError("Q > r required")
     qs = _squarefree_moduli(Q, 2 * Q)
-    box = box_coeff_array(r)
-    ij = invariants_raw(tuple(box.T))
-    zero_row = len(box) // 2  # the digits of the centre row are all r
+    slabs = [(np.stack(cols, axis=1), w) for _, cols, w in _orbit_slabs(r, negate=True)]
+    reps = np.concatenate([rows for rows, _ in slabs])
+    w = np.concatenate([w for _, w in slabs])
+    del slabs
+    w[~reps.any(axis=1)] = 0  # the zero form
+    ij = invariants_raw(tuple(reps.T))
 
     fam_idx = _family_rows(r)
+    fam = np.flatnonzero(np.isin(_box_index(reps.T, r), fam_idx))
+    fam_w = w[fam]
+    if int(fam_w.sum()) != len(fam_idx):
+        raise RuntimeError(f"the family rows of {r}B are not a union of orbits")
     q_parts = {q: sorted(p for p in factorize(q).factors if p > 3) for q in qs}
     shared = {p for ps in q_parts.values() if len(ps) > 1 for p in ps}
-    absn: dict[int, np.ndarray] = {}  # |n| over the box, primes in shared
+    absn: dict[int, np.ndarray] = {}  # |n| on the representatives, primes in shared
     sums: dict[int, int] = {}  # |n| summed over the nonzero rows
-    fam_n: dict[int, np.ndarray] = {}  # |n| on the family rows
+    fam_n: dict[int, np.ndarray] = {}  # |n| on the family representatives
     stays: dict[int, np.ndarray] = {}
-    cases = np.empty(len(box), dtype=np.int8)
+    cases = np.empty(len(reps), dtype=np.int8)
     for q in qs:
         for p in q_parts[q]:
             if p not in sums:
-                n = closed_n_batch(p, box, ij, cases)
+                n = closed_n_batch(p, reps, ij, cases)
                 np.abs(n, out=n)
-                sums[p] = int(n.sum()) - int(n[zero_row])
-                fam_n[p] = n[fam_idx]
-                stays[p] = cases[fam_idx] <= Case.NONSPLIT_SQUARE
+                sums[p] = int(n @ w)
+                fam_n[p] = n[fam]
+                stays[p] = cases[fam] <= Case.NONSPLIT_SQUARE
                 if p in shared:
                     absn[p] = n
 
@@ -126,7 +143,7 @@ def box_sum(Q: int, r: int) -> BoxSumResult:
     for q in qs:
         ps = q_parts[q]
         if not ps:
-            total += Fraction(len(box) - 1)
+            total += Fraction((2 * r + 1) ** 5 - 1)
             continue
         if len(ps) == 1:
             num = sums[ps[0]]
@@ -134,13 +151,13 @@ def box_sum(Q: int, r: int) -> BoxSumResult:
             vec = absn[ps[0]]
             for p in ps[1:]:
                 vec = vec * absn[p]
-            num = int(vec.sum()) - int(vec[zero_row])
+            num = int(vec @ w)
         den = 1
         for p in ps:
             den *= p
         total += Fraction(num, den**5)
 
-    in_x, in_x_q5_one = _in_x_subsums(qs, q_parts, len(fam_idx), fam_n, stays)
+    in_x, in_x_q5_one = _in_x_subsums(qs, q_parts, fam_w, fam_n, stays)
     bound = r * r / Q + r**4 / Q**2 + r**5 / Q**2.5
     return BoxSumResult(Q, r, total, bound, in_x, in_x_q5_one)
 
@@ -148,20 +165,18 @@ def box_sum(Q: int, r: int) -> BoxSumResult:
 def _family_rows(r: int) -> np.ndarray:
     """Row indices in box_coeff_array(r) of the nonzero integral forms of
     the singular family."""
-    side = 2 * r + 1
     xs = sorted(family_x_forms_in_box(r) - {(0, 0, 0, 0, 0)})
-    return np.array(
-        [sum((c + r) * side ** (4 - k) for k, c in enumerate(f)) for f in xs],
-        dtype=np.int64,
-    )
+    return _box_index(np.array(xs, dtype=np.int64).reshape(-1, 5).T, r)
 
 
-def _in_x_subsums(qs, q_parts, n_fam, fam_n, stays):
-    """Diagnostic split of the box sum over its n_fam family rows: their
-    whole contribution, and the part from the rows whose reduction mod
-    every prime p > 3 of q stays in family X, read from closed_n_batch's
-    case codes.  fam_n[p] and stays[p] hold |n| and that flag per family
-    row."""
+def _in_x_subsums(qs, q_parts, fam_w, fam_n, stays):
+    """Diagnostic split of the box sum over its family rows: their whole
+    contribution, and the part from the rows whose reduction mod every
+    prime p > 3 of q stays in family X, read from closed_n_batch's case
+    codes.  The family is a union of orbits: fam_w holds the orbit size of
+    each family representative, and fam_n[p] and stays[p] its |n| and
+    that flag."""
+    n_fam = int(fam_w.sum())
     if not n_fam:
         return Fraction(0), Fraction(0)
     tot = Fraction(0)
@@ -176,8 +191,8 @@ def _in_x_subsums(qs, q_parts, n_fam, fam_n, stays):
         for p in ps:
             den *= p
         den = den**5
-        nums = np.ones(n_fam, dtype=np.int64)
-        keep = np.ones(n_fam, dtype=bool)
+        nums = fam_w
+        keep = np.ones(len(fam_w), dtype=bool)
         for p in ps:
             nums = nums * fam_n[p]
             keep &= stays[p]
@@ -239,24 +254,26 @@ def family_x_forms_in_box(r: int) -> set:
     return forms
 
 
-_METHOD_A_LIMIT = 60_000_000
-
-
 def family_counts_by_radius(rmax: int) -> list[int]:
     """|V(Z) & rB & family| for r = 0..rmax (index r) from one exhaustive
-    scan of rmax B: a vectorized Disc = 0 prefilter, exact Q-factorization
-    of each survivor, and a cumulative histogram of max |a_i| over the
-    members."""
-    if (2 * rmax + 1) ** 5 > _METHOD_A_LIMIT:
-        raise ValueError(f"box (2*{rmax}+1)^5 too large for the exhaustive scan")
-    box = box_coeff_array(rmax)
-    i, j = invariants_raw(tuple(box.T))
-    cand = box[4 * i**3 - j * j == 0]
-    member = np.array(
-        [in_family_X(QuarticForm.from_coeffs(row)) for row in cand], dtype=bool
-    )
-    radius = np.abs(cand[member]).max(axis=1)
-    return np.cumsum(np.bincount(radius, minlength=rmax + 1)).tolist()
+    scan of rmax B.  The family and max |a_i| are invariant under x <-> y,
+    y -> -y and f -> -f, so the scan runs over the 8-fold orbit
+    representatives, one slab at a time: a vectorized Disc = 0 prefilter,
+    exact Q-factorization of each survivor, and a histogram of max |a_i|
+    over the members weighted by orbit size, summed cumulatively."""
+    hist = np.zeros(rmax + 1, dtype=np.int64)
+    for _, cols, w in _orbit_slabs(rmax, negate=True):
+        i, j = invariants_raw(cols)
+        cand = np.flatnonzero(4 * i**3 == j * j)
+        member = np.array(
+            [in_family_X(QuarticForm.from_coeffs([int(c[k]) for c in cols]))
+             for k in cand.tolist()],
+            dtype=bool,
+        )
+        keep = cand[member]
+        radius = np.max([np.abs(c[keep]) for c in cols], axis=0)
+        np.add.at(hist, radius, w[keep])
+    return np.cumsum(hist).tolist()
 
 
 def singular_lattice_count(r: int, method: str = "both") -> int:
@@ -497,14 +514,62 @@ def _ij_key(i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return (i + _KEY_HALF) * (2 * _KEY_HALF) + (j + _KEY_HALF)
 
 
-def _slab_cols(coeff_bound: int, a0: int) -> tuple[np.ndarray, ...]:
-    """The five coefficient columns of the box rows with first coefficient
-    a0, in box order."""
-    side = 2 * coeff_bound + 1
-    idx = np.arange(side**4, dtype=np.int64)
-    cols = [np.full(side**4, a0, dtype=np.int64)]
-    cols += [((idx // side ** (3 - k)) % side) - coeff_bound for k in range(4)]
-    return tuple(cols)
+# The 4-fold group of the census, as (permutation, signs) on (a0, ..., a4):
+# the identity, tau (y -> -y), sigma (x <-> y) and sigma tau.  All four
+# fix I, J, Disc, the height, irreducibility and real solubility.
+_GROUP = (
+    ((0, 1, 2, 3, 4), (1, 1, 1, 1, 1)),
+    ((0, 1, 2, 3, 4), (1, -1, 1, -1, 1)),
+    ((4, 3, 2, 1, 0), (1, 1, 1, 1, 1)),
+    ((4, 3, 2, 1, 0), (1, -1, 1, -1, 1)),
+)
+
+
+def _box_index(cols, bound: int):
+    """Index of rows in box_coeff_array(bound): lexicographic in (a0, ..., a4)."""
+    side = 2 * bound + 1
+    idx = cols[0] + bound
+    for c in cols[1:]:
+        idx = idx * side + (c + bound)
+    return idx
+
+
+def _orbit_slabs(bound: int, negate: bool = False):
+    """Orbit representatives of the box |a_i| <= bound, one a0 slab at a time.
+
+    The group is _GROUP, generated by sigma: (a0, ..., a4) -> (a4, ..., a0)
+    and tau: (a0, -a1, a2, -a3, a4); with negate, f -> -f as well, which
+    makes it 8-fold.  A row represents its orbit when its box index is the
+    least in the orbit.  Yields (a0, cols, w) for each slab that holds
+    representatives: five int64 columns of them in box order, and their
+    weights, the orbit sizes.  sigma sends slab a0 to slab a4 and tau
+    flips a1, so representatives have a4 >= a0 and a1 <= 0; with negate,
+    also a0 <= 0 and |a4| <= -a0.  Only those rows are tested.  Raises
+    unless the weights sum to (2 bound + 1)^5.
+    """
+    maps = list(_GROUP)
+    if negate:
+        maps += [(perm, tuple(-s for s in sgn)) for perm, sgn in _GROUP]
+    side = 2 * bound + 1
+    full = np.arange(-bound, bound + 1, dtype=np.int64)
+    total = 0
+    for a0 in range(-bound, (0 if negate else bound) + 1):
+        a4 = np.arange(a0, -a0 + 1 if negate else bound + 1, dtype=np.int64)
+        grid = np.meshgrid(full[: bound + 1], full, full, a4, indexing="ij")
+        cols = (np.full(grid[0].size, a0, dtype=np.int64), *(g.ravel() for g in grid))
+        own = _box_index(cols, bound)
+        rep = np.ones(len(own), dtype=bool)
+        stab = np.zeros(len(own), dtype=np.int64)
+        for perm, sgn in maps:
+            image = _box_index([s * cols[k] for k, s in zip(perm, sgn)], bound)
+            rep &= own <= image
+            stab += own == image
+        cols = tuple(c[rep] for c in cols)
+        w = len(maps) // stab[rep]
+        total += int(w.sum())
+        yield a0, cols, w
+    if total != side**5:
+        raise RuntimeError(f"orbit weights sum to {total}, not {side}^5")
 
 
 def _batch_omega_squarefree(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -589,8 +654,17 @@ def _batch_omega_squarefree(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _batch_soluble(cols) -> np.ndarray:
-    """Vectorized real solubility; falls back to Sturm on the measure-zero
-    Disc = 0 stratum."""
+    """Vectorized real solubility: z^2 = f(x, y) has a real point unless f
+    is negative definite.
+
+    A row with a0 >= 0 or a4 >= 0 is soluble.  Otherwise the sign of Disc
+    counts the real roots, with the P, D test for four.  On Disc = 0 a
+    non-real repeated root comes with its conjugate, so f is insoluble only
+    when f = c q^2 with c < 0 and disc(q) < 0.  Those rows form the square
+    locus He_f || f, on which He/f = 12 c disc(q), so the row is insoluble
+    exactly when that ratio is positive.  Rows with I = J = 0 have a triple
+    or quadruple root, which is real.
+    """
     a0, a1, a2, a3, a4 = cols
     out = (a0 >= 0) | (a4 >= 0)
     rest = np.nonzero(~out)[0]
@@ -610,10 +684,12 @@ def _batch_soluble(cols) -> np.ndarray:
         - 3 * b1**4
     )
     has_root = (disc27 < 0) | ((disc27 > 0) & (P < 0) & (D < 0))
-    sing = np.nonzero(disc27 == 0)[0]
-    for k in sing:
-        row = [int(c[rest[k]]) for c in cols]
-        has_root[k] = is_R_soluble(QuarticForm.from_coeffs(row))
+    # Disc = 0; b0 != 0, so He || f means He_k b0 = b_k He_0 for every k
+    he = hessian_raw(sub)
+    definite = (disc27 == 0) & (he[0] * b0 > 0) & ((i != 0) | (j != 0))
+    for bk, hk in zip(sub[1:], he[1:]):
+        definite &= hk * b0 == bk * he[0]
+    has_root |= (disc27 == 0) & ~definite
     out[rest] = has_root
     return out
 
@@ -677,15 +753,21 @@ def census(
     candidates (squarefree, Omega <= 4, soluble, inside the height bound),
     the count additionally irreducible over Q ("passing_all"), distinct
     (I, J) pairs, and the S-congruence slice.  With out_csv set, the rows
-    passing every filter are streamed to a CSV file.
+    passing every filter are streamed to a CSV file in box order.
 
-    The engine sweeps the box in slabs of fixed a0, twice.  Disc =
-    (4I^3 - J^2)/27 depends on (I, J) alone, so the first pass collects the
-    box's distinct (I, J) pairs as sorted int64 keys and factors each
-    nonzero |Disc| once, into an Omega and a squarefree flag per key.  The
-    second pass recomputes each row's (I, J), reads its Omega and flag
-    through its key, and decides solubility, the height filter and
-    irreducibility row by row, writing CSV rows in box order.
+    Every reported quantity is invariant under x <-> y and y -> -y, so the
+    engine sweeps the 4-fold orbit representatives of the box
+    (_orbit_slabs), slab by slab, twice, and counts each with its orbit
+    size.  Disc = (4I^3 - J^2)/27 depends on (I, J) alone, so the first
+    pass collects the box's distinct (I, J) pairs as sorted int64 keys and
+    factors each nonzero |Disc| once, into an Omega and a squarefree flag
+    per key.  The second pass recomputes each representative's (I, J),
+    reads its Omega and flag through its key, and decides solubility, the
+    height filter and irreducibility.  Every CSV field but the
+    coefficients is an orbit invariant, so each slab's passing rows are
+    the images of passing representatives (_expand_slab).  A
+    representative whose sigma images lie in a later slab is kept, keyed
+    by a4, until that slab comes.
     """
     if coeff_bound < 0:
         raise ValueError(f"coefficient bound {coeff_bound} is negative")
@@ -707,11 +789,11 @@ def census(
             f"coefficient bound {coeff_bound} beyond the engine guard {_CENSUS_GUARD}"
         )
     _check_headroom(coeff_bound)
-    a0s = range(-coeff_bound, coeff_bound + 1)
 
     # pass 1: Omega and squarefreeness per distinct (I, J)
     key_chunks = [
-        np.unique(_ij_key(*invariants_raw(_slab_cols(coeff_bound, a0)))) for a0 in a0s
+        np.unique(_ij_key(*invariants_raw(cols)))
+        for _, cols, _ in _orbit_slabs(coeff_bound)
     ]
     keys = np.unique(np.concatenate(key_chunks))
     del key_chunks
@@ -727,7 +809,7 @@ def census(
     key_om, key_sq = om[inverse], sq[inverse]
     del absdisc, inverse, nz, om, sq
 
-    # pass 2: row by row, in box order
+    # pass 2: orbit representatives, each counted with its orbit size
     omega_hist = np.zeros(64, dtype=np.int64)  # Omega(|Disc|) < 63 in int64
     totals = dict(
         total_forms=0,
@@ -742,51 +824,47 @@ def census(
     )
     writer = None
     out_handle = None
+    pending: dict[int, list[np.ndarray]] = {}  # passing representatives by a4
     if out_csv is not None:
         out_handle = open(out_csv, "w", newline="")
         writer = csv.writer(out_handle)
         writer.writerow(CSV_HEADER)
     try:
-        for a0 in a0s:
-            cols = _slab_cols(coeff_bound, a0)
+        for a0, cols, w in _orbit_slabs(coeff_bound):
             i, j = invariants_raw(cols)
             k = np.searchsorted(keys, _ij_key(i, j))
             om = key_om[k]
             sq = key_sq[k]
-            totals["total_forms"] += len(om)
+            totals["total_forms"] += int(w.sum())
             zero = om < 0
-            totals["zero_disc"] += int(zero.sum())
-            omega_hist += np.bincount(om[~zero], minlength=len(omega_hist))
-            totals["squarefree"] += int(sq.sum())
+            totals["zero_disc"] += int(w[zero].sum())
+            omega_hist += np.bincount(
+                om[~zero], weights=w[~zero], minlength=len(omega_hist)
+            ).astype(np.int64)  # exact: the counts stay below 2^53
+            totals["squarefree"] += int(w[sq].sum())
             sf4 = sq & (om <= 4)  # sq is false where Disc = 0
-            totals["sf_omega_le4"] += int(sf4.sum())
+            totals["sf_omega_le4"] += int(w[sf4].sum())
 
             soluble = _batch_soluble(cols)
-            totals["r_soluble"] += int(soluble.sum())
+            totals["r_soluble"] += int(w[soluble].sum())
 
             cand = sf4 & soluble
             if height_bound is not None:
                 cand &= (np.abs(i) ** 3 < height_bound) & (j * j < 4 * height_bound)
-            totals["candidates"] += int(cand.sum())
+            totals["candidates"] += int(w[cand].sum())
 
             cidx = np.nonzero(cand)[0]
-            if len(cidx):
-                irr = _batch_irreducible(cols, cidx)
-                totals["passing_all"] += int(irr.sum())
-                if writer is not None:
-                    # the rows passed irreducibility and solubility, and the
-                    # engine's range lies below the S anchor box
-                    rows = cidx[irr]
-                    writer.writerows(
-                        _csv_record(coeffs, iv, jv, o, (s, True, True, False))
-                        for coeffs, iv, jv, o, s in zip(
-                            np.stack([c[rows] for c in cols], axis=1).tolist(),
-                            i[rows].tolist(),
-                            j[rows].tolist(),
-                            om[rows].tolist(),
-                            sq[rows].tolist(),
-                        )
-                    )
+            passing = cidx[_batch_irreducible(cols, cidx)]
+            totals["passing_all"] += int(w[passing].sum())
+            if writer is not None:
+                reps = np.stack([v[passing] for v in (*cols, i, j, om, sq)], axis=1)
+                rows = _expand_slab(a0, reps, pending, coeff_bound)
+                # the rows passed irreducibility and solubility, and the
+                # engine's range lies below the S anchor box
+                writer.writerows(
+                    _csv_record(row[:5], *row[5:8], (row[8], True, True, False))
+                    for row in rows.tolist()
+                )
     finally:
         if out_handle is not None:
             out_handle.close()
@@ -800,6 +878,29 @@ def census(
         **totals,
     )
     return agg
+
+
+def _expand_slab(a0: int, reps: np.ndarray, pending: dict, bound: int) -> np.ndarray:
+    """Every box row of slab a0 whose 4-fold representative is listed, in
+    box order, for slabs taken in ascending order.  Rows hold a0..a4 and
+    then orbit invariants; reps are the slab's own representatives.
+
+    The slab's rows are the identity and tau images of reps and the sigma
+    and sigma tau images of the representatives with a4 = a0, which come
+    from this slab or an earlier one.  pending keeps those representatives
+    by a4 until their slab comes.  np.unique drops the images a stabilizer
+    repeats."""
+    for a4 in np.unique(reps[:, 4]).tolist():
+        pending.setdefault(a4, []).append(reps[reps[:, 4] == a4])
+    parts = []
+    for rows, maps in [(reps, _GROUP[:2])] + [(b, _GROUP[2:]) for b in pending.pop(a0, [])]:
+        for perm, sgn in maps:
+            image = rows.copy()
+            image[:, :5] = rows[:, perm] * sgn
+            parts.append(image)
+    rows = np.concatenate(parts)
+    _, first = np.unique(_box_index(rows.T[:5], bound), return_index=True)
+    return rows[first]
 
 
 def _aggregate_from_rows(rows) -> dict:

@@ -10,7 +10,7 @@ largest index is below 2^53.  The scalar/vectorized agreement is itself
 part of the test suite.
 
 Memory discipline, per chunk: the oracle's fibre product holds at most
-_CHUNK_ENTRIES (2^20) entries, 8 MB, and its int64 copy as much again,
+_CHUNK_ENTRIES (2^19) entries, 4 MB, and its int64 copy as much again,
 unless one row alone needs more (then one row per chunk: p^4 + p^3 - p^2
 entries); its histogram has k*m bins for k forms, m < 5p^2 + p.  The brute
 scheme counts chunk their products to 2M entries.  Beyond those, memory is
@@ -45,7 +45,7 @@ __all__ = [
     "box_coeff_array",
 ]
 
-_CHUNK_ENTRIES = 1 << 20  # entries per oracle fibre-product chunk
+_CHUNK_ENTRIES = 1 << 19  # entries per oracle fibre-product chunk
 # Per-prime tables cached: the 35 primes 5..157 that divide the moduli of
 # box_sum(80, r), the largest Q of the box-sum grid.  At p = 157 a
 # trace_table holds 8p^2 B = 197 KB and a _case_tables pair 9p^2 B = 222 KB,

@@ -240,9 +240,8 @@ def test_threads_flag_alone_sets_threads():
 
 
 def test_singular_count_scans_each_box_once(capsys, monkeypatch):
-    # in_family_X runs once per Disc = 0 row of 3B, not again for 1B and 2B
-    import numpy as np
-
+    # in_family_X runs once per Disc = 0 orbit of 3B under x <-> y, y -> -y
+    # and f -> -f, and not again for 1B and 2B
     from quartics import experiments
     from quartics.forms import in_family_X, invariants_raw
     from quartics.vectorized import box_coeff_array
@@ -255,8 +254,14 @@ def test_singular_count_scans_each_box_once(capsys, monkeypatch):
     assert code == 0
     rows = json.loads(out)["rows"]
     assert [row["exhaustive"] for row in rows] == [row["parametrized"] for row in rows]
-    i, j = invariants_raw(tuple(box_coeff_array(3).T))
-    assert len(calls) == int(np.count_nonzero(4 * i**3 == j * j))
+    reps = 0
+    for f in box_coeff_array(3).tolist():
+        a0, a1, a2, a3, a4 = f
+        i, j = invariants_raw(f)
+        if 4 * i**3 == j * j:
+            orbit = [f, [a4, a3, a2, a1, a0], [a0, -a1, a2, -a3, a4], [a4, -a3, a2, -a1, a0]]
+            reps += f == min(orbit + [[-a for a in g] for g in orbit])
+    assert len(calls) == reps
 
 
 def test_census_unwritable_out_is_usage_error(capsys, tmp_path):

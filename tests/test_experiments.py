@@ -1,8 +1,10 @@
 import csv
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from quartics.experiments import (
     CSV_HEADER,
@@ -23,8 +25,11 @@ from quartics.experiments import (
     _aggregate_from_rows,
     _batch_irreducible,
     _batch_omega_squarefree,
+    _batch_soluble,
     _check_headroom,
+    _expand_slab,
     _is_irreducible,
+    _orbit_slabs,
 )
 from quartics.forms import QuarticForm, in_family_X, invariants_raw, is_R_soluble
 from quartics.vectorized import _case_tables, box_coeff_array
@@ -65,10 +70,63 @@ def test_singular_lattice_counts_small():
     assert singular_lattice_count(1) == 19
 
 
+def _orbit(f, negate):
+    a0, a1, a2, a3, a4 = f
+    imgs = {f, (a0, -a1, a2, -a3, a4), (a4, a3, a2, a1, a0), (a4, -a3, a2, -a1, a0)}
+    if negate:
+        imgs |= {tuple(-a for a in g) for g in imgs}
+    return imgs
+
+
+def _brute_orbits(r, negate):
+    """{least row of the orbit: orbit size} over the box, from every row's
+    full orbit; lexicographic order on tuples is box order."""
+    reps = {}
+    for f in map(tuple, box_coeff_array(r).tolist()):
+        orbit = _orbit(f, negate)
+        reps[min(orbit)] = len(orbit)
+    return reps
+
+
+@pytest.mark.parametrize("negate", [False, True])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_orbit_slabs_one_row_per_orbit(r, negate):
+    got = [
+        (a0, tuple(row), int(wk))
+        for a0, cols, w in _orbit_slabs(r, negate)
+        for row, wk in zip(np.stack(cols, axis=1).tolist(), w)
+    ]
+    assert all(row[0] == a0 for a0, row, _ in got)
+    rows = [row for _, row, _ in got]
+    assert rows == sorted(rows)  # box order, no repeats
+    assert {row: wk for _, row, wk in got} == _brute_orbits(r, negate)
+    assert sum(wk for _, _, wk in got) == (2 * r + 1) ** 5
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_expand_slab_rebuilds_the_box(r):
+    # expanding every 4-fold representative, slab by slab, gives the whole
+    # box once, in box order: the census CSV path
+    pending = {}
+    rows = [
+        _expand_slab(a0, np.stack(cols, axis=1), pending, r)
+        for a0, cols, _ in _orbit_slabs(r)
+    ]
+    assert not pending
+    assert np.array_equal(np.concatenate(rows), box_coeff_array(r))
+
+
+def test_orbit_slab_counts():
+    # the 8-fold representatives of the box_sum box r = 6 and the 4-fold
+    # ones of the census workload B = 8
+    assert sum(len(w) for _, _, w in _orbit_slabs(6, negate=True)) == 47_299
+    assert sum(len(w) for _, _, w in _orbit_slabs(8)) == 358_649
+
+
 def test_family_counts_by_radius_scan_once(monkeypatch):
-    # one scan of 3B decides each Disc = 0 row once and counts every r <= 3
-    box = box_coeff_array(3)
-    i, j = invariants_raw(tuple(box.T))
+    # one scan of 3B decides each Disc = 0 orbit once and counts every r <= 3
+    reps = np.array(sorted(_brute_orbits(3, negate=True)), dtype=np.int64)
+    i, j = invariants_raw(tuple(reps.T))
     calls = []
     monkeypatch.setattr(
         experiments, "in_family_X", lambda f: calls.append(f) or in_family_X(f)
@@ -317,11 +375,77 @@ def test_census_csv_engine_path(tmp_path):
 
 def test_r_solubility_vectorized_consistency():
     # _batch_soluble inside the engine vs the Sturm path
-    from quartics.experiments import _batch_soluble
-
     rng = np.random.default_rng(3)
     cols = [rng.integers(-8, 9, size=600).astype(np.int64) for _ in range(5)]
     out = _batch_soluble(cols)
     for k in range(600):
         f = QuarticForm(*(int(c[k]) for c in cols))
         assert out[k] == is_R_soluble(f), f.coeffs
+
+
+def test_batch_soluble_on_negative_singular_rows():
+    # every Disc = 0 row of 4B with a0 < 0 and a4 < 0: the square-locus
+    # rule against Sturm, on the only rows where the sign tests say nothing
+    box = box_coeff_array(4)
+    i, j = invariants_raw(tuple(box.T))
+    rows = box[(4 * i**3 == j * j) & (box[:, 0] < 0) & (box[:, 4] < 0)]
+    assert len(rows) == 110
+    out = _batch_soluble(tuple(rows.T))
+    ref = [is_R_soluble(QuarticForm.from_coeffs(row)) for row in rows.tolist()]
+    assert out.tolist() == ref
+    assert not all(ref)  # the insoluble squares are reached
+
+
+_SMALL = st.integers(-5, 5)
+
+
+@st.composite
+def _singular_or_random_rows(draw):
+    # c q^2, l^2 q, l^3 m and unrestricted rows, all inside 25B
+    kind = draw(st.sampled_from(["square", "double", "triple", "any"]))
+    if kind == "any":
+        return draw(st.tuples(*[st.integers(-25, 25)] * 5))
+    if kind == "square":
+        c, (u, v, t) = draw(_SMALL), draw(st.tuples(_SMALL, _SMALL, _SMALL))
+        q = (u, v, t)
+        f = (c * u * u, 2 * c * u * v, c * (v * v + 2 * u * t), 2 * c * v * t, c * t * t)
+    else:
+        a, b = draw(_SMALL), draw(_SMALL)
+        if kind == "double":
+            q = draw(st.tuples(_SMALL, _SMALL, _SMALL))
+        else:
+            c, d = draw(_SMALL), draw(_SMALL)
+            q = (a * c, a * d + b * c, b * d)
+        lsq = (a * a, 2 * a * b, b * b)
+        f = tuple(
+            sum(lsq[m] * q[k - m] for m in range(3) if 0 <= k - m <= 2)
+            for k in range(5)
+        )
+    assume(all(abs(x) <= 25 for x in f))
+    return f
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(_singular_or_random_rows(), min_size=1, max_size=20))
+def test_batch_soluble_matches_sturm(rows):
+    out = _batch_soluble(tuple(np.array(rows, dtype=np.int64).T))
+    assert out.tolist() == [is_R_soluble(QuarticForm(*f)) for f in rows]
+
+
+def test_census_makes_no_scalar_solubility_calls(monkeypatch):
+    def refuse(f):
+        raise AssertionError("scalar is_R_soluble reached")
+
+    monkeypatch.setattr(experiments, "is_R_soluble", refuse)
+    assert census(5) == CENSUS_5
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.tuples(*[st.integers(-12, 12)] * 5))
+def test_census_row_invariant_under_box_symmetries(f):
+    # every field but the coefficients is fixed by sigma and tau, which
+    # lets the census count orbit representatives
+    a0, a1, a2, a3, a4 = f
+    row = replace(census_row(QuarticForm(*f)), coeffs=None)
+    for g in ((a4, a3, a2, a1, a0), (a0, -a1, a2, -a3, a4)):
+        assert replace(census_row(QuarticForm(*g)), coeffs=None) == row

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from quartics.forms import (
     QuarticForm,
     SplittingType,
+    act,
     invariants_mod,
     invariants_raw,
     splitting_type_mod,
@@ -241,3 +242,41 @@ def test_closed_batch_rejects_misshapen_outputs():
         closed_n_batch(5, forms, cases=np.empty(10, dtype=np.int64))
     with pytest.raises(ValueError):
         closed_n_batch(5, forms, (np.zeros(9), np.zeros(9)))
+
+
+_PRIMES = [5, 7, 11, 13, 17, 19, 23]
+_COEFF = st.integers(-60, 60)
+
+
+def _n_and_cases(p, rows):
+    rows = np.array(rows, dtype=np.int64)
+    cases = np.empty(len(rows), dtype=np.int8)
+    return closed_n_batch(p, rows, invariants_raw(tuple(rows.T)), cases), cases
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(_PRIMES), st.lists(st.tuples(*[_COEFF] * 5), min_size=1, max_size=30))
+def test_closed_batch_invariant_under_box_symmetries(p, forms):
+    # sigma (x <-> y), tau (y -> -y) and f -> -f fix n and the Case; the
+    # orbit sweeps of box_sum and singular-count rest on this
+    n, cases = _n_and_cases(p, forms)
+    images = [
+        [(a4, a3, a2, a1, a0) for a0, a1, a2, a3, a4 in forms],
+        [(a0, -a1, a2, -a3, a4) for a0, a1, a2, a3, a4 in forms],
+        [tuple(-a for a in f) for f in forms],
+    ]
+    for image in images:
+        n_g, cases_g = _n_and_cases(p, image)
+        assert np.array_equal(n_g, n)
+        assert np.array_equal(cases_g, cases)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(_PRIMES), st.tuples(*[_COEFF] * 5), st.tuples(*[_COEFF] * 4))
+def test_closed_batch_invariant_under_gl2(p, coeffs, g):
+    a, b, c, d = g
+    if (a * d - b * c) % p == 0:
+        g = (1, b, 0, 1)
+    f = QuarticForm(*coeffs, p=p)
+    n, _ = _n_and_cases(p, [f.coeffs, act(g, f).coeffs])
+    assert n[0] == n[1]
