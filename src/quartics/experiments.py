@@ -10,13 +10,12 @@ field, and together with f -> -f they fix n mod p and family membership,
 which box sums and singular counts read.  The census engine sweeps its
 representatives twice.  Disc depends on (I, J) alone, so the first pass
 collects the box's distinct (I, J) pairs as int64 keys and factors each
-distinct |Disc| once, by complete trial division (deterministic
-Miller-Rabin for large prime cofactors); the second reads each row's Omega
-and squarefreeness through its key.  Real solubility is decided by sign
-analysis, with the square locus He_f || f on Disc = 0, and irreducibility
-by mod-p certificates (no root, one root, and Stickelberger's discriminant
-parity) with exact factorization over Q for the rows no certificate
-decides."""
+distinct |Disc| once, by batched trial division over the primes up to
+isqrt(max |Disc|); the second reads each row's Omega and squarefreeness
+through its key.  Real solubility is decided by sign analysis, with the
+square locus He_f || f on Disc = 0, and irreducibility by mod-p
+certificates (no root, one root, and Stickelberger's discriminant parity)
+with exact factorization over Q for the rows no certificate decides."""
 
 from __future__ import annotations
 
@@ -39,7 +38,7 @@ from .forms import (
     is_R_soluble,
 )
 from .elliptic import S_MODULUS
-from .intfactor import FactorResult, factorize, is_prime, primes_below
+from .intfactor import FactorResult, factorize, primes_below
 from .vectorized import Case, chi_array, closed_n_batch
 
 __all__ = [
@@ -574,82 +573,39 @@ def _orbit_slabs(bound: int, negate: bool = False):
 
 def _batch_omega_squarefree(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """omega and squarefree flags for an array of positive int64 values, by
-    batched trial division (small primes on the full array, the long tail
-    only on surviving composite cofactors)."""
-    v = vals.astype(np.int64).copy()
-    om = np.zeros(len(v), dtype=np.int64)
-    sq = np.ones(len(v), dtype=bool)
-    small = 300
-    for q in primes_below(small + 1):
-        m = v % q == 0
-        if not m.any():
-            continue
-        v[m] //= q
-        om[m] += 1
-        m &= v % q == 0
-        if m.any():
-            sq[m] = False
-            while m.any():
-                v[m] //= q
-                om[m] += 1
-                m &= v % q == 0
-    active = np.nonzero(v > 1)[0]
-    av = v[active]
-    # rough values below small^2 are prime
-    done = av < small * small
-    om[active[done]] += 1
-    active, av = active[~done], av[~done]
-    # perfect prime squares and cubes
-    s = np.sqrt(av.astype(np.float64)).astype(np.int64)
-    for adj in (-1, 0, 1):
-        m = (s + adj) ** 2 == av
-        if m.any():
-            om[active[m]] += 2
-            sq[active[m]] = False
-            keep = ~m
-            active, av, s = active[keep], av[keep], s[keep]
-    c = np.cbrt(av.astype(np.float64)).astype(np.int64)
-    for adj in (-1, 0, 1):
-        m = (c + adj) ** 3 == av
-        if m.any():
-            om[active[m]] += 3
-            sq[active[m]] = False
-            keep = ~m
-            active, av, c = active[keep], av[keep], c[keep]
-    # deterministic primality test peels off the prime cofactors
-    if len(av):
-        pmask = np.fromiter((is_prime(int(x)) for x in av), bool, count=len(av))
-        om[active[pmask]] += 1
-        active, av = active[~pmask], av[~pmask]
-    # remaining composites: pq, p^2 q, pqr with all factors > small;
-    # the sieve bound rounds up to a power of two to stay cache-friendly
-    limit = isqrt(int(av.max())) + 1 if len(av) else 0
-    limit = 1 << max(limit, small).bit_length()
-    for q in primes_below(limit + 1):
-        if q <= small:
-            continue
-        if not len(av):
-            break
-        m = av % q == 0
-        if m.any():
-            av[m] //= q
-            om[active[m]] += 1
-            m2 = m & (av % q == 0)
-            while m2.any():
-                sq[active[m2]] = False
-                av[m2] //= q
-                om[active[m2]] += 1
-                m2 &= av % q == 0
-        finished = (av == 1) | (av < q * q)
-        if finished.any():
-            om[active[finished & (av > 1)]] += 1
-            keep = ~finished
-            active, av = active[keep], av[keep]
-    # prime cofactors can survive the last gap below the trial limit
-    for k in range(len(av)):
-        if not is_prime(int(av[k])):
-            raise RuntimeError(f"unfactored census cofactor {int(av[k])}")
-        om[active[k]] += 1
+    batched trial division over every prime up to isqrt(max(vals)): about
+    5.7e5 for the largest |Disc| that _check_headroom admits at
+    _CENSUS_GUARD.
+
+    Each prime q is tested on the active rows by (v // q) * q == v: numpy
+    divides by a scalar with a multiply and shift (libdivide), several
+    times faster than v % q.  Its powers are stripped on the rows it
+    divides alone.  After every 16th prime q, the rows whose cofactor is
+    below q^2 leave the active set: a cofactor above 1 then has no factor
+    <= q and no room for two factors > q, so it is prime.  (That check
+    reads every active row, so it runs once per 16 primes; a row stays
+    active at most 16 primes too long.)  A row still active after the
+    last prime has had every prime up to isqrt(max(vals)) >=
+    isqrt(cofactor) tried, so its cofactor is 1 or prime.
+    """
+    om = np.zeros(len(vals), dtype=np.int8)  # Omega < 63 for int64 values
+    sq = np.ones(len(vals), dtype=bool)
+    active = np.arange(len(vals))
+    av = vals.astype(np.int64)
+    for k, q in enumerate(primes_below(isqrt(int(av.max())) + 1 if len(av) else 0), 1):
+        hit = np.flatnonzero((av // q) * q == av)
+        while len(hit):
+            av[hit] //= q
+            om[active[hit]] += 1
+            hit = hit[(av[hit] // q) * q == av[hit]]
+            sq[active[hit]] = False
+        if k % 16 == 0:
+            done = av < q * q
+            om[active[done & (av > 1)]] += 1
+            active, av = active[~done], av[~done]
+            if not len(av):
+                break
+    om[active[av > 1]] += 1
     return om, sq
 
 

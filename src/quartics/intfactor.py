@@ -9,6 +9,7 @@ survives the trial budget is reported as incomplete, never guessed.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
 from typing import NamedTuple
 
 __all__ = ["is_prime", "primes_below", "factorize", "FactorResult"]
@@ -85,17 +86,20 @@ class FactorResult(NamedTuple):
 
 
 def factorize(n: int, trial_bound: int = 10**6) -> FactorResult:
-    """Factor |n| by trial division up to trial_bound, n != 0.
+    """Factor |n| by trial division up to min(trial_bound, 10^7), n != 0.
 
-    A cofactor above trial_bound**2 is tested with deterministic
+    A cofactor above that budget squared is tested with deterministic
     Miller-Rabin; if it is composite the result is flagged incomplete
-    rather than silently wrong.
+    rather than silently wrong.  The sieve stops at the budget or at
+    isqrt(|n|) rounded up to a power of two, so that primes_below's cache
+    sees few limits.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
     n = abs(n)
     factors: dict[int, int] = {}
-    for q in primes_below(min(trial_bound, 10**7) + 1):
+    budget = min(trial_bound, 10**7)
+    for q in primes_below(min(budget, 1 << isqrt(n).bit_length()) + 1):
         if q * q > n:
             break
         while n % q == 0:
@@ -103,7 +107,7 @@ def factorize(n: int, trial_bound: int = 10**6) -> FactorResult:
             n //= q
     if n == 1:
         return FactorResult(factors, 1, True)
-    if n <= trial_bound * trial_bound or is_prime(n):
+    if n <= budget * budget or is_prime(n):
         # below budget^2 with no factor <= budget, n is prime
         factors[n] = factors.get(n, 0) + 1
         return FactorResult(factors, 1, True)

@@ -1,6 +1,7 @@
 import csv
 from dataclasses import replace
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -26,12 +27,14 @@ from quartics.experiments import (
     _batch_irreducible,
     _batch_omega_squarefree,
     _batch_soluble,
+    _CENSUS_GUARD,
     _check_headroom,
     _expand_slab,
     _is_irreducible,
     _orbit_slabs,
 )
 from quartics.forms import QuarticForm, in_family_X, invariants_raw, is_R_soluble
+from quartics.intfactor import factorize, is_prime, primes_below
 from quartics.vectorized import _case_tables, box_coeff_array
 
 
@@ -47,18 +50,40 @@ def test_omega_examples():
     assert not incomplete.complete and not incomplete.squarefree
 
 
-def test_batch_omega_matches_scalar():
-    vals = np.array(
-        [1, 2, 4, 91, 12, 360, 1009, 1009 * 1009, 999983, 999983 * 2, 10**9 + 7,
-         (10**9 + 7) * 3, 6 * 10**9 + 11, 2**20 * 91, 1009 * 1013],
-        dtype=np.int64,
-    )
+# the largest |Disc| that _check_headroom admits at the engine guard
+_DISC_CEILING = (4 * (16 * _CENSUS_GUARD**2) ** 3 + (137 * _CENSUS_GUARD**3) ** 2) // 27
+
+
+def _assert_batch_omega_matches(vals):
+    vals = np.array(vals, dtype=np.int64)
     om, sq = _batch_omega_squarefree(vals)
+    assert len(om) == len(sq) == len(vals)
     for k, v in enumerate(vals):
-        r = omega_and_squarefree(int(v))
+        r = factorize(int(v))
         assert r.complete
-        assert om[k] == r.omega, v
-        assert sq[k] == r.squarefree, v
+        assert (om[k], sq[k]) == (r.omega, r.squarefree), v
+
+
+def test_batch_omega_matches_scalar():
+    _assert_batch_omega_matches([])
+    _assert_batch_omega_matches([1])
+    _assert_batch_omega_matches([1009**2])  # the sieve includes isqrt(max)
+    _assert_batch_omega_matches(
+        [1, 2, 4, 91, 12, 360, 1009, 1009 * 1009, 999983, 999983 * 2, 10**9 + 7,
+         (10**9 + 7) * 3, 6 * 10**9 + 11, 2**20 * 91, 1009 * 1013, 2**40 * 3**5,
+         307**2, 307**3, 1009**3, 307 * 311]
+    )
+    # the engine sieves to isqrt of the largest value; a prime above the
+    # square of the last sieved prime survives every round
+    last = primes_below(isqrt(_DISC_CEILING) + 1)[-1]
+    cofactor = next(n for n in range(last * last + 1, _DISC_CEILING) if is_prime(n))
+    _assert_batch_omega_matches([cofactor, _DISC_CEILING])
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.lists(st.integers(1, 33 * 10**10), max_size=20))
+def test_batch_omega_matches_factorize_random(vals):
+    _assert_batch_omega_matches(vals)
 
 
 def test_singular_lattice_counts_small():
@@ -289,6 +314,16 @@ def test_census_golden_aggregates():
     # B = 8 is the census workload of the benchmark
     assert census(5) == CENSUS_5
     assert census(8) == CENSUS_8
+
+
+def test_census_zero_box():
+    # one form, f = 0, with Disc = 0: the Omega engine gets no values
+    assert census(0) == {
+        "coeff_bound": 0, "height_bound": None, "require_s": False,
+        "omega_hist": {}, "distinct_ij": 1, "total_forms": 1, "zero_disc": 1,
+        "squarefree": 0, "sf_omega_le4": 0, "r_soluble": 1, "candidates": 0,
+        "passing_all": 0, "s_rows": 0, "s_passing": 0,
+    }
 
 
 def test_census_rejects_bad_bounds():

@@ -13,6 +13,7 @@ from quartics.ffarith import (
     quadratic_nonresidue,
     sqrt_mod,
 )
+from quartics import intfactor
 from quartics.intfactor import factorize, is_prime, primes_below
 
 ODD_PRIMES = [p for p in primes_below(60) if p > 2]
@@ -163,6 +164,18 @@ def test_factorize():
     big = 1000003 * 1000033
     r = factorize(big, trial_bound=1000)
     assert not r.complete and r.cofactor == big
+
+
+def test_factorize_sieves_to_isqrt(monkeypatch):
+    limits = []
+
+    def spy(limit):
+        limits.append(limit)
+        return primes_below(limit)
+
+    monkeypatch.setattr(intfactor, "primes_below", spy)
+    assert factorize(160).factors == {2: 5, 5: 1}
+    assert limits and max(limits) <= 32
 
 
 @settings(deadline=None, max_examples=60)

@@ -143,19 +143,22 @@ def test_count_xf_batch():
             assert batch[k] == count_Xf(QuarticForm(*c, p=p))
 
 
-def test_scheme_counts_batch_vs_scalar():
-    rng = random.Random(7)
-    for p in (5, 7, 11):
-        cs = [tuple(rng.randrange(p) for _ in range(5)) for _ in range(10)]
-        cs = [c for c in cs if any(c)]
-        x122, x22, x1212 = scheme_counts_batch(p, np.array(cs, dtype=np.int64))
-        for k, c in enumerate(cs):
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from([5, 7, 11]),
+    st.lists(st.tuples(*[st.integers(-30, 30)] * 5), min_size=1, max_size=6),
+)
+def test_scheme_counts_batch_vs_scalar(p, rows):
+    # the third count is x1212_batch's; a row = 0 mod p counts every point
+    x122, x22, x1212 = scheme_counts_batch(p, np.array(rows, dtype=np.int64))
+    plane = p * p + p + 1
+    for k, c in enumerate(rows):
+        if any(a % p for a in c):
             f = QuarticForm(*c, p=p)
-            assert (x122[k], x22[k], x1212[k]) == (
-                count_X122(f),
-                count_X22(f),
-                count_X1212(f),
-            )
+            expected = (count_X122(f), count_X22(f), count_X1212(f))
+        else:
+            expected = ((p + 1) * plane, plane, (p + 1) ** 2)
+        assert (x122[k], x22[k], x1212[k]) == expected, (p, c)
 
 
 def test_box_coeff_array():
