@@ -723,10 +723,16 @@ def census(
     coefficients is an orbit invariant, so each slab's passing rows are
     the images of passing representatives (_expand_slab).  A
     representative whose sigma images lie in a later slab is kept, keyed
-    by a4, until that slab comes.
+    by a4, until that slab comes.  Each slab's rows are shaped into CSV
+    lines in one batch (_csv_lines): Disc and four times the height are
+    int64 columns, and one f-string per row formats them; the scalar
+    _csv_record and write_census_csv shape the S-slice rows, whose
+    coefficients can exceed int64.
     """
     if coeff_bound < 0:
         raise ValueError(f"coefficient bound {coeff_bound} is negative")
+    if height_bound is not None and height_bound < 1:
+        raise ValueError(f"height bound {height_bound} admits no form")
     if require_s:
         rows = census_s_rows(coeff_bound)
         if height_bound is not None:
@@ -756,8 +762,19 @@ def census(
     i, j = np.divmod(keys, 2 * _KEY_HALF)
     i -= _KEY_HALF
     j -= _KEY_HALF
-    absdisc, inverse = np.unique(np.abs(4 * i**3 - j * j) // 27, return_inverse=True)
-    del i, j
+    # |Disc| in one buffer: fresh temporaries over every key would set the
+    # run's peak RSS
+    d = i * i
+    d *= i
+    d *= 4
+    del i
+    j *= j
+    d -= j
+    del j
+    np.abs(d, out=d)
+    d //= 27
+    absdisc, inverse = np.unique(d, return_inverse=True)
+    del d
     nz = absdisc != 0
     om = np.full(len(absdisc), -1, dtype=np.int8)  # -1 marks Disc = 0
     sq = np.zeros(len(absdisc), dtype=bool)
@@ -778,13 +795,11 @@ def census(
         s_rows=0,
         s_passing=0,
     )
-    writer = None
     out_handle = None
     pending: dict[int, list[np.ndarray]] = {}  # passing representatives by a4
     if out_csv is not None:
         out_handle = open(out_csv, "w", newline="")
-        writer = csv.writer(out_handle)
-        writer.writerow(CSV_HEADER)
+        out_handle.write(",".join(CSV_HEADER) + "\r\n")
     try:
         for a0, cols, w in _orbit_slabs(coeff_bound):
             i, j = invariants_raw(cols)
@@ -812,14 +827,10 @@ def census(
             cidx = np.nonzero(cand)[0]
             passing = cidx[_batch_irreducible(cols, cidx)]
             totals["passing_all"] += int(w[passing].sum())
-            if writer is not None:
+            if out_handle is not None:
                 reps = np.stack([v[passing] for v in (*cols, i, j, om, sq)], axis=1)
-                rows = _expand_slab(a0, reps, pending, coeff_bound)
-                # the rows passed irreducibility and solubility, and the
-                # engine's range lies below the S anchor box
-                writer.writerows(
-                    _csv_record(row[:5], *row[5:8], (row[8], True, True, False))
-                    for row in rows.tolist()
+                out_handle.writelines(
+                    _csv_lines(_expand_slab(a0, reps, pending, coeff_bound))
                 )
     finally:
         if out_handle is not None:
@@ -857,6 +868,38 @@ def _expand_slab(a0: int, reps: np.ndarray, pending: dict, bound: int) -> np.nda
     rows = np.concatenate(parts)
     _, first = np.unique(_box_index(rows.T[:5], bound), return_index=True)
     return rows[first]
+
+
+_FLAG = ("false", "true")
+_QUARTER = ("", ".25")
+
+
+def _csv_lines(rows: np.ndarray):
+    """The CSV lines of census rows that passed every filter, as csv.writer
+    writes them from _csv_record: the quoted form, then the fields, each
+    line ending in CRLF.  rows are int64: a0..a4, I, J, Omega and
+    squarefree.  The last three fields are constants: the rows passed
+    irreducibility and solubility, and the engine's range lies below the S
+    anchor box.
+
+    Disc = (4 I^3 - J^2)/27, and 4 height = max(4 |I|^3, J^2) is 1 mod 4
+    exactly when J is odd and J^2/4 > |I|^3: the height then ends in .25.
+    Both are exact in int64 wherever _check_headroom admits the box.  The
+    columns go to Python in one tolist() and are zipped into rows, which
+    holds less than a list per row."""
+    i, j = rows[:, 5], rows[:, 6]
+    h4 = np.maximum(4 * np.abs(i) ** 3, j * j)
+    quarter = h4 % 4
+    if (quarter > 1).any():
+        raise RuntimeError("a height is not an integer or an odd square over 4")
+    table = np.vstack(
+        (rows[:, :7].T, (4 * i**3 - j * j) // 27, h4 // 4, rows[:, 7:9].T, quarter)
+    ).tolist()
+    return (
+        f'"{a0},{a1},{a2},{a3},{a4}",{a0},{a1},{a2},{a3},{a4},{i},{j},{d},'
+        f"{h}{_QUARTER[q]},{om},{_FLAG[sf]},true,true,false\r\n"
+        for a0, a1, a2, a3, a4, i, j, d, h, om, sf, q in zip(*table)
+    )
 
 
 def _aggregate_from_rows(rows) -> dict:

@@ -195,8 +195,12 @@ def oracle_n_batch(p: int, forms: np.ndarray, check_fibers: bool = True) -> np.n
     if (step + 1) * m >= 2**53:
         raise RuntimeError(f"fibre indices at p={p} exceed the float64 exact range")
     w = np.array([12, 3, 2, 3, 12], dtype=np.int64)
+    # in place: int64 temporaries the size of the singular set would set
+    # verify-theorem's peak RSS, which then moved 4 MB with the heap layout
     ws = np.ones((n_sing, 6))
-    ws[:, :5] = (singular_coeff_array(p) * w) % p
+    ws[:, :5] = singular_coeff_array(p)
+    ws[:, :5] *= w
+    ws[:, :5] %= p
     out = np.empty(len(forms), dtype=np.int64)
     for start in range(0, len(forms), step):
         stop = min(start + step, len(forms))
@@ -392,14 +396,15 @@ def scheme_counts_batch(
     p: int, forms: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Brute (#X_{1^2 2}, #X_{2^2}, #X_{1^2 1^2}) for every row of forms,
-    by full enumeration of the source spaces (vectorized per line l)."""
+    by enumeration of the source spaces.  For X_{1^2 2}, each line l makes
+    [l^2 q, f] a linear functional of q, and its zeros in P2 are counted
+    from its three coefficients rather than enumerated."""
     check_prime(p, min_exclusive=3)
     forms = np.asarray(forms, dtype=np.int64) % p
     total = len(forms)
-    p2 = np.array(list(proj_reps(p, 3)), dtype=np.int64)
     w = np.array([12, 3, 2, 3, 12], dtype=np.int64)
 
-    t0, t1, t2 = p2.T
+    t0, t1, t2 = np.array(list(proj_reps(p, 3)), dtype=np.int64).T
     q2rows = (
         np.stack(
             [t0 * t0, 2 * t0 * t1, t1 * t1 + 2 * t0 * t2, 2 * t1 * t2, t2 * t2],
@@ -420,8 +425,9 @@ def scheme_counts_batch(
             c0 = (12 * f0 * s0 * s0 + 6 * f1 * s0 * s1 + 2 * f2 * s1 * s1) % p
             c1 = (3 * f1 * s0 * s0 + 4 * f2 * s0 * s1 + 3 * f3 * s1 * s1) % p
             c2 = (2 * f2 * s0 * s0 + 6 * f3 * s0 * s1 + 12 * f4 * s1 * s1) % p
-            vals = (p2 @ np.stack([c0, c1, c2])) % p
-            acc += np.count_nonzero(vals == 0, axis=0)
+            # q -> c . q is one linear functional on P2: p + 1 zeros, or
+            # every point when it vanishes
+            acc += np.where((c0 | c1 | c2) == 0, p * p + p + 1, p + 1)
         x122[start:stop] = acc
         x22[start:stop] = np.count_nonzero((q2rows @ ft) % p == 0, axis=0)
     return x122, x22, x1212_batch(p, forms)

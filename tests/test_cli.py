@@ -161,6 +161,7 @@ def test_usage_error_exit_two():
     [
         ["census", "--coeff-bound", "-1"],  # an empty box
         ["census", "--coeff-bound", "30"],  # beyond the engine guard
+        ["census", "--coeff-bound", "1", "--height", "0"],  # admits no form
         ["box-sum", "--q", "3", "--r", "5"],  # Q <= r
     ],
 )

@@ -1,11 +1,13 @@
 import csv
+import hashlib
+import io
 from dataclasses import replace
 from fractions import Fraction
 from math import isqrt
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from quartics.experiments import (
     CSV_HEADER,
@@ -29,6 +31,8 @@ from quartics.experiments import (
     _batch_soluble,
     _CENSUS_GUARD,
     _check_headroom,
+    _csv_lines,
+    _csv_record,
     _expand_slab,
     _is_irreducible,
     _orbit_slabs,
@@ -333,6 +337,11 @@ def test_census_rejects_bad_bounds():
         census(-1, require_s=True)
     with pytest.raises(ValueError):
         census(26)  # beyond the engine guard
+    for height in (0, -5):  # a vacuous height filter
+        with pytest.raises(ValueError):
+            census(2, height_bound=height)
+        with pytest.raises(ValueError):
+            census(38, height_bound=height, require_s=True)
     _check_headroom(198)
     with pytest.raises(ValueError):
         _check_headroom(199)  # 137 B^3 >= 2^30
@@ -408,6 +417,37 @@ def test_census_csv_engine_path(tmp_path):
     assert {tuple(map(int, row[1:6])) for row in body} == scalar_passing
 
 
+@pytest.mark.parametrize(
+    "bound, height, rows, digest",
+    [
+        (4, None, 7892, "81ea0e861eec1d18f7f2274bb56a4960b36bae25224ac02be9c9810d5f77a790"),
+        (5, 10**6, 12992, "335cb6ab0b5dcd4d5b9a5e42de164bc21a70159926cfe6541fe6ea80f5e83fde"),
+    ],
+    ids=["B4", "B5-height"],
+)
+def test_census_csv_bytes_pinned(tmp_path, monkeypatch, bound, height, rows, digest):
+    # the row output, byte for byte, as the per-row csv.writer wrote it;
+    # the engine shapes its rows without the scalar _csv_record
+    def refuse(*args):
+        raise AssertionError("scalar _csv_record reached")
+
+    monkeypatch.setattr(experiments, "_csv_record", refuse)
+    path = tmp_path / "rows.csv"
+    agg = census(bound, height_bound=height, out_csv=str(path))
+    data = path.read_bytes()
+    assert agg["passing_all"] == rows == data.count(b"\r\n") - 1
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3])
+def test_census_csv_engine_matches_scalar_writer(tmp_path, bound):
+    # the batch line shaper against write_census_csv of the scalar rows
+    engine, scalar = tmp_path / "engine.csv", tmp_path / "scalar.csv"
+    census(bound, out_csv=str(engine))
+    write_census_csv([r for r in census_rows(bound) if r.passes_filters], scalar)
+    assert engine.read_bytes() == scalar.read_bytes()
+
+
 def test_r_solubility_vectorized_consistency():
     # _batch_soluble inside the engine vs the Sturm path
     rng = np.random.default_rng(3)
@@ -465,6 +505,28 @@ def _singular_or_random_rows(draw):
 def test_batch_soluble_matches_sturm(rows):
     out = _batch_soluble(tuple(np.array(rows, dtype=np.int64).T))
     assert out.tolist() == [is_R_soluble(QuarticForm(*f)) for f in rows]
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.lists(
+        st.tuples(_singular_or_random_rows(), st.integers(0, 40), st.booleans()),
+        min_size=1,
+        max_size=20,
+    )
+)
+# odd J with J^2/4 > |I|^3 (height 52212.25), and the tie 4|I|^3 = J^2
+@example([((-2, -1, -2, -2, 1), 3, True), ((0, 0, 1, 0, 0), 0, False)])
+def test_csv_lines_match_csv_writer(rows):
+    forms = np.array([f for f, _, _ in rows], dtype=np.int64)
+    i, j = invariants_raw(tuple(forms.T))
+    table = np.column_stack((forms, i, j, [[om, sf] for _, om, sf in rows]))
+    expected = io.StringIO(newline="")
+    csv.writer(expected).writerows(
+        _csv_record(f, int(ik), int(jk), om, (sf, True, True, False))
+        for (f, om, sf), ik, jk in zip(rows, i, j)
+    )
+    assert "".join(_csv_lines(table)) == expected.getvalue()
 
 
 def test_census_makes_no_scalar_solubility_calls(monkeypatch):

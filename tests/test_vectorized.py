@@ -161,6 +161,15 @@ def test_scheme_counts_batch_vs_scalar(p, rows):
         assert (x122[k], x22[k], x1212[k]) == expected, (p, c)
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_scheme_counts_batch_x122_exhaustive(p):
+    # the count by lines against the scalar point enumeration, every form
+    forms = all_forms_array(p)[1:]
+    x122, _, _ = scheme_counts_batch(p, forms)
+    expected = [count_X122(QuarticForm(*c, p=p)) for c in forms.tolist()]
+    assert x122.tolist() == expected
+
+
 def test_box_coeff_array():
     b = box_coeff_array(1)
     assert b.shape == (243, 5)
