@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .ffarith import check_prime, inv_mod
-from .forms import QuarticForm, height_raw, invariants, invariants_raw
+from .forms import QuarticForm, form_product, height_raw, invariants, invariants_raw
 from .intfactor import primes_below
 from .vectorized import chi_array
 
@@ -164,19 +164,7 @@ def two_two_from_quartic(f: QuarticForm) -> TwoTwoForm:
 def _h_quartic(c: TwoTwoForm) -> tuple:
     # H_c(s0, s1) = q1^2 - 4 q0 q2, a binary quartic in s
     q0, q1, q2 = c.rows
-
-    def mul(u, v):
-        return (
-            u[0] * v[0],
-            u[0] * v[1] + u[1] * v[0],
-            u[0] * v[2] + u[1] * v[1] + u[2] * v[0],
-            u[1] * v[2] + u[2] * v[1],
-            u[2] * v[2],
-        )
-
-    sq = mul(q1, q1)
-    pr = mul(q0, q2)
-    out = tuple(s - 4 * t for s, t in zip(sq, pr))
+    out = tuple(s - 4 * t for s, t in zip(form_product(q1, q1), form_product(q0, q2)))
     return tuple(v % c.p for v in out) if c.p is not None else out
 
 

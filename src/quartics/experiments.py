@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import isqrt
 
 import numpy as np
@@ -435,27 +436,11 @@ def census_row(f: QuarticForm, trial_bound: int = 10**6) -> CensusRow:
 def census_s_rows(coeff_bound: int, trial_bound: int = 10**6) -> list[CensusRow]:
     """Rows of the S-congruence sublattice inside the coefficient box
     (coordinates are +- 110592-translates of the anchor form)."""
-    choices = []
-    for c0 in F0.coeffs:
-        base = c0 % S_MODULUS
-        vals = []
-        v = base - S_MODULUS * ((base + coeff_bound) // S_MODULUS)
-        while v <= coeff_bound:
-            if v >= -coeff_bound:
-                vals.append(v)
-            v += S_MODULUS
-        choices.append(vals)
-    rows = []
-
-    def rec(k, acc):
-        if k == 5:
-            rows.append(census_row(QuarticForm.from_coeffs(acc), trial_bound))
-            return
-        for v in choices[k]:
-            rec(k + 1, acc + [v])
-
-    rec(0, [])
-    return rows
+    b = coeff_bound
+    choices = [range(-b + (c0 + b) % S_MODULUS, b + 1, S_MODULUS) for c0 in F0.coeffs]
+    return [
+        census_row(QuarticForm.from_coeffs(c), trial_bound) for c in product(*choices)
+    ]
 
 
 def census_rows(
@@ -468,7 +453,7 @@ def census_rows(
     if require_s:
         rows = census_s_rows(coeff_bound, trial_bound)
     else:
-        if (2 * coeff_bound + 1) ** 5 > 2_000_000:
+        if coeff_bound > 8:  # 17^5 = 1.4M rows
             raise ValueError("box too large for the exhaustive row dump")
         rng = range(-coeff_bound, coeff_bound + 1)
         rows = [
@@ -731,15 +716,16 @@ def census(
     """
     if coeff_bound < 0:
         raise ValueError(f"coefficient bound {coeff_bound} is negative")
-    if height_bound is not None and height_bound < 1:
-        raise ValueError(f"height bound {height_bound} admits no form")
+    if height_bound is not None and height_bound <= 1:
+        # height < 1 forces I = 0 and |J| <= 1, and J = -2 a2^3 mod 9 is
+        # 0, 2 or 7 mod 9, so J = 0 and Disc = 0
+        raise ValueError(f"height bound {height_bound} admits no candidate")
     if require_s:
         rows = census_s_rows(coeff_bound)
-        if height_bound is not None:
-            rows = [r for r in rows if r.height < height_bound]
         if out_csv is not None:
-            write_census_csv(rows, out_csv)
-        agg = _aggregate_from_rows(rows)
+            low = [r for r in rows if _below_height(r, height_bound)]
+            write_census_csv([r for r in low if r.passes_filters], out_csv)
+        agg = _aggregate_from_rows(rows, height_bound)
         agg.update(
             coeff_bound=coeff_bound,
             height_bound=height_bound,
@@ -902,11 +888,18 @@ def _csv_lines(rows: np.ndarray):
     )
 
 
-def _aggregate_from_rows(rows) -> dict:
+def _below_height(row: CensusRow, height_bound: int | None) -> bool:
+    return height_bound is None or row.height < height_bound
+
+
+def _aggregate_from_rows(rows, height_bound: int | None = None) -> dict:
+    """census's aggregates over scalar rows.  As in the engine, the height
+    bound restricts the candidates, and so passing_all and s_passing."""
     omega_hist: dict[str, int] = {}
     for r in rows:
         if r.omega is not None:
             omega_hist[str(r.omega)] = omega_hist.get(str(r.omega), 0) + 1
+    low = [r for r in rows if _below_height(r, height_bound)]
     return dict(
         total_forms=len(rows),
         zero_disc=sum(1 for r in rows if r.disc == 0),
@@ -918,11 +911,11 @@ def _aggregate_from_rows(rows) -> dict:
         r_soluble=sum(1 for r in rows if r.r_soluble),
         candidates=sum(
             1
-            for r in rows
+            for r in low
             if r.squarefree and r.omega is not None and r.omega <= 4 and r.r_soluble
         ),
-        passing_all=sum(1 for r in rows if r.passes_filters),
+        passing_all=sum(1 for r in low if r.passes_filters),
         distinct_ij=len({(r.i, r.j) for r in rows}),
         s_rows=sum(1 for r in rows if r.in_s),
-        s_passing=sum(1 for r in rows if r.in_s and r.passes_filters),
+        s_passing=sum(1 for r in low if r.in_s and r.passes_filters),
     )

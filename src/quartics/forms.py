@@ -37,6 +37,7 @@ __all__ = [
     "invariants_mod",
     "pairing",
     "pairing12",
+    "form_product",
     "hessian_cov",
     "hessian_mod",
     "catalecticant",
@@ -119,7 +120,10 @@ def format_form(coeffs) -> str:
 # Group action
 
 
-def _conv(u, v):
+def form_product(u, v) -> list:
+    """Coefficients of the product of two binary forms, each given by its
+    coefficients from the x-power down.  The entries may be ints or numpy
+    arrays (one form per slot), so one call multiplies whole columns."""
     out = [0] * (len(u) + len(v) - 1)
     for i, ui in enumerate(u):
         for j, vj in enumerate(v):
@@ -132,12 +136,12 @@ def _act_coeffs(g, c: Coeffs) -> list[int]:
     xs = [(1,)]  # powers of (a x + c y)
     ys = [(1,)]  # powers of (b x + d y)
     for _ in range(4):
-        xs.append(tuple(_conv(xs[-1], (a, cc))))
-        ys.append(tuple(_conv(ys[-1], (b, d))))
+        xs.append(tuple(form_product(xs[-1], (a, cc))))
+        ys.append(tuple(form_product(ys[-1], (b, d))))
     out = [0] * 5
     for i, ci in enumerate(c):
         if ci:
-            term = _conv(xs[4 - i], ys[i])
+            term = form_product(xs[4 - i], ys[i])
             for k, t in enumerate(term):
                 out[k] += ci * t
     return out
@@ -645,7 +649,7 @@ def factor_over_Q(f: QuarticForm) -> tuple[int, list[tuple[tuple[int, ...], int]
     check = [1]
     for fac, m in factors:
         for _ in range(m):
-            check = _conv(check, fac)
+            check = form_product(check, fac)
     if list(check) == [-c for c in prim]:
         content = -content
     elif list(check) != list(prim):

@@ -23,6 +23,7 @@ the splitting type.
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import Enum
 from functools import lru_cache
 from itertools import product
@@ -34,6 +35,7 @@ from .forms import (
     QuarticForm,
     SplittingType,
     catalecticant_kernel_quadratic,
+    form_product,
     hessian_mod,
     invariants_mod,
     invariants_raw,
@@ -182,30 +184,15 @@ def _canonical(c, p: int):
     return c
 
 
-def _mul_quadratics(u, v):
-    return (
-        u[0] * v[0],
-        u[0] * v[1] + u[1] * v[0],
-        u[0] * v[2] + u[1] * v[1] + u[2] * v[0],
-        u[1] * v[2] + u[2] * v[1],
-        u[2] * v[2],
-    )
-
-
-def _l2q_coeffs(s, t):
-    s0, s1 = s
-    return _mul_quadratics((s0 * s0, 2 * s0 * s1, s1 * s1), t)
-
-
-def _q2_coeffs(t):
-    t0, t1, t2 = t
-    return (t0 * t0, 2 * t0 * t1, t1 * t1 + 2 * t0 * t2, 2 * t1 * t2, t2 * t2)
-
-
-def _l1l2_coeffs(s, t):
-    s0, s1 = s
-    t0, t1 = t
-    return _mul_quadratics((s0 * s0, 2 * s0 * s1, s1 * s1), (t0 * t0, 2 * t0 * t1, t1 * t1))
+@lru_cache(maxsize=16)
+def _square_images(p: int) -> tuple[tuple, tuple, tuple]:
+    """Integer coefficients of l^2 for each l in P1, of q^2 for each q in
+    P2 and of l1^2 l2^2 for each (l1, l2) in P1 x P1, one tuple per point:
+    the values of the squaring maps, shared by every form's count."""
+    l2 = tuple(tuple(form_product(s, s)) for s in proj_p1_points(p))
+    q2 = tuple(tuple(form_product(t, t)) for t in proj_p2_points(p))
+    l1l2 = tuple(tuple(form_product(u, v)) for u in l2 for v in l2)
+    return l2, q2, l1l2
 
 
 @lru_cache(maxsize=8)
@@ -213,21 +200,9 @@ def _psi_image_counts(p: int):
     """Fiber-size dictionaries of the three squaring maps, keyed by the
     canonical representative of the image point in P(V)."""
     check_prime(p, min_exclusive=3)
-    d122: dict = {}
-    for s in proj_p1_points(p):
-        for t in proj_p2_points(p):
-            key = _canonical(_l2q_coeffs(s, t), p)
-            d122[key] = d122.get(key, 0) + 1
-    d22: dict = {}
-    for t in proj_p2_points(p):
-        key = _canonical(_q2_coeffs(t), p)
-        d22[key] = d22.get(key, 0) + 1
-    d1212: dict = {}
-    for s in proj_p1_points(p):
-        for t in proj_p1_points(p):
-            key = _canonical(_l1l2_coeffs(s, t), p)
-            d1212[key] = d1212.get(key, 0) + 1
-    return d122, d22, d1212
+    l2, q2, l1l2 = _square_images(p)
+    l2q = (form_product(u, t) for u in l2 for t in proj_p2_points(p))
+    return tuple(Counter(_canonical(w, p) for w in image) for image in (l2q, q2, l1l2))
 
 
 def psi_fiber_counts(h: QuarticForm) -> tuple[int, int, int]:
@@ -284,16 +259,15 @@ def count_X122(f: QuarticForm) -> int:
 def count_X22(f: QuarticForm) -> int:
     """Brute count of {q in P2 : [q^2, f] = 0}."""
     c, p = _require_nonzero_modp(f)
-    return sum(1 for t in proj_p2_points(p) if pairing12(_q2_coeffs(t), c) % p == 0)
+    _, q2, _ = _square_images(p)
+    return sum(1 for w in q2 if pairing12(w, c) % p == 0)
 
 
 def count_X1212(f: QuarticForm) -> int:
     """Brute count of {(l1, l2) in P1 x P1 : [l1^2 l2^2, f] = 0}."""
     c, p = _require_nonzero_modp(f)
-    pts = proj_p1_points(p)
-    return sum(
-        1 for s in pts for t in pts if pairing12(_l1l2_coeffs(s, t), c) % p == 0
-    )
+    _, _, l1l2 = _square_images(p)
+    return sum(1 for w in l1l2 if pairing12(w, c) % p == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,20 +3,23 @@
 The scalar implementations in forms/schemes/fourier are the contracts;
 everything here is an equivalent vectorized evaluation path for sweeps
 over ~p^5-sized spaces.  All arithmetic is exact: int64 modular work plus
-BLAS float64 products of nonnegative integers.  The pairing products stay
-below 5 p^2; the oracle's fibre product also carries each form's bincount
-offset, and oracle_n_batch checks in code, before its loop, that its
-largest index is below 2^53.  The scalar/vectorized agreement is itself
-part of the test suite.
+BLAS float64 products of nonnegative integers.  Every count of zero
+pairings goes through _zero_pairings, whose dot products are at most
+5 (p-1)^2; it checks in code, before any product, that this fits the int32
+it casts to (primes up to 20,719).  The oracle's fibre product also carries each
+form's bincount offset, and oracle_n_batch checks in code, before its
+loop, that its largest index is below 2^53.  The scalar/vectorized
+agreement is itself part of the test suite.
 
-Memory discipline, per chunk: the oracle's fibre product holds at most
-_CHUNK_ENTRIES (2^19) entries, 4 MB, and its int64 copy as much again,
-unless one row alone needs more (then one row per chunk: p^4 + p^3 - p^2
-entries); its histogram has k*m bins for k forms, m < 5p^2 + p.  The brute
-scheme counts chunk their products to 2M entries.  Beyond those, memory is
-the size of the inputs and outputs: a row set (p^5 x 5 for
-all_forms_array, a (2r+1)^5 x 5 box), a few row-length vectors, and the
-singular set of about p^4 rows.
+Memory discipline, per chunk: every float64 product, pairing or fibre,
+holds at most _CHUNK_ENTRIES (2^19) entries, 4 MB, unless one form alone
+needs more (then one form per chunk, one entry per row: p^4 + p^3 - p^2
+for the fibres).  A pairing chunk's int32 copy takes half as much again,
+a fibre chunk's int64 copy as much again, and its histogram has k*m bins
+for k forms, m < 5p^2 + p.  Beyond those, memory is the size of the
+inputs and outputs: a row set (p^5 x 5 for all_forms_array, a
+(2r+1)^5 x 5 box), a few row-length vectors, and the singular set of
+about p^4 rows.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .ffarith import check_prime, chi12, proj_reps
-from .forms import hessian_mod, invariants_raw
+from .forms import form_product, hessian_mod, invariants_raw
 
 __all__ = [
     "singular_coeff_array",
@@ -45,7 +48,8 @@ __all__ = [
     "box_coeff_array",
 ]
 
-_CHUNK_ENTRIES = 1 << 19  # entries per oracle fibre-product chunk
+_CHUNK_ENTRIES = 1 << 19  # entries per pairing or fibre-product chunk
+_PAIRING_WEIGHTS = np.array([12, 3, 2, 3, 12], dtype=np.int64)  # forms.pairing12's
 # Per-prime tables cached: the 35 primes 5..157 that divide the moduli of
 # box_sum(80, r), the largest Q of the box-sum grid.  At p = 157 a
 # trace_table holds 8p^2 B = 197 KB and a _case_tables pair 9p^2 B = 222 KB,
@@ -143,22 +147,32 @@ def trace_table(p: int) -> np.ndarray:
 # Oracle: exact n = p^5 * Phi_hat_p(f) from fibers over the singular cone
 
 
-def count_xf_batch(p: int, forms: np.ndarray) -> np.ndarray:
-    """#X^f(F_p) for every row: zero pairings against the canonical
-    representatives of the projectivized singular locus."""
-    check_prime(p, min_exclusive=3)
-    reps = singular_proj_array(p)
-    w = np.array([12, 3, 2, 3, 12], dtype=np.int64)
-    wr = ((reps * w) % p).astype(np.float64)  # (#X, 5)
+def _zero_pairings(p: int, rows: np.ndarray, forms: np.ndarray) -> np.ndarray:
+    """For each form f, the number of rows h with [h, f] = 0 mod p.
+
+    The rows are weighted by _PAIRING_WEIGHTS mod p once.  Each chunk of
+    forms is one float64 BLAS product of residues, of at most
+    _CHUNK_ENTRIES entries unless one form alone needs more.  Every dot
+    product is at most 5 (p-1)^2, checked to fit int32 before any product;
+    float64 holds it exactly."""
+    if 5 * (p - 1) ** 2 > np.iinfo(np.int32).max:
+        raise ValueError(f"pairings at p={p} exceed the int32 range")
+    wr = (np.asarray(rows, dtype=np.int64) % p * _PAIRING_WEIGHTS % p).astype(np.float64)
     forms = np.asarray(forms, dtype=np.int64) % p
     out = np.empty(len(forms), dtype=np.int64)
     step = max(1, _CHUNK_ENTRIES // max(len(wr), 1))
     for start in range(0, len(forms), step):
-        stop = min(start + step, len(forms))
-        # dot products are < 5 p^2 << 2^53, so the BLAS product is exact
+        stop = start + step
         vals = (wr @ forms[start:stop].T.astype(np.float64)).astype(np.int32)
         out[start:stop] = np.count_nonzero(vals % np.int32(p) == 0, axis=0)
     return out
+
+
+def count_xf_batch(p: int, forms: np.ndarray) -> np.ndarray:
+    """#X^f(F_p) for every row: zero pairings against the canonical
+    representatives of the projectivized singular locus."""
+    check_prime(p, min_exclusive=3)
+    return _zero_pairings(p, singular_proj_array(p), forms)
 
 
 def oracle_n_batch(p: int, forms: np.ndarray, check_fibers: bool = True) -> np.ndarray:
@@ -194,12 +208,11 @@ def oracle_n_batch(p: int, forms: np.ndarray, check_fibers: bool = True) -> np.n
     step = max(1, _CHUNK_ENTRIES // n_sing)
     if (step + 1) * m >= 2**53:
         raise RuntimeError(f"fibre indices at p={p} exceed the float64 exact range")
-    w = np.array([12, 3, 2, 3, 12], dtype=np.int64)
     # in place: int64 temporaries the size of the singular set would set
     # verify-theorem's peak RSS, which then moved 4 MB with the heap layout
     ws = np.ones((n_sing, 6))
     ws[:, :5] = singular_coeff_array(p)
-    ws[:, :5] *= w
+    ws[:, :5] *= _PAIRING_WEIGHTS
     ws[:, :5] %= p
     out = np.empty(len(forms), dtype=np.int64)
     for start in range(0, len(forms), step):
@@ -365,31 +378,13 @@ def closed_n_batch(
 
 def x1212_batch(p: int, forms: np.ndarray) -> np.ndarray:
     """Brute #X^f_{1^2 1^2} for every row of forms: the zero pairings of
-    the row against all (p+1)^2 products l1^2 l2^2 over P1 x P1, as one
-    integer product per chunk of at most 2M entries.  A zero row counts
-    every pair."""
+    the row against all (p+1)^2 products l1^2 l2^2 over P1 x P1.  A zero
+    row counts every pair."""
     check_prime(p, min_exclusive=3)
-    forms = np.asarray(forms, dtype=np.int64) % p
-    sqs = [(s0 * s0, 2 * s0 * s1, s1 * s1) for s0, s1 in proj_reps(p, 2)]
-    pairs = [
-        [
-            u[0] * v[0],
-            u[0] * v[1] + u[1] * v[0],
-            u[0] * v[2] + u[1] * v[1] + u[2] * v[0],
-            u[1] * v[2] + u[2] * v[1],
-            u[2] * v[2],
-        ]
-        for u in sqs
-        for v in sqs
-    ]
-    w = np.array([12, 3, 2, 3, 12], dtype=np.int64)
-    rows = (np.array(pairs, dtype=np.int64) * w) % p
-    out = np.empty(len(forms), dtype=np.int64)
-    step = max(1, 2_000_000 // len(rows))
-    for start in range(0, len(forms), step):
-        stop = min(start + step, len(forms))
-        out[start:stop] = np.count_nonzero((rows @ forms[start:stop].T) % p == 0, axis=0)
-    return out
+    s = np.array(list(proj_reps(p, 2)), dtype=np.int64).T
+    sq = form_product(s, s)  # the coefficients of l^2, one entry per line l
+    rows = form_product([c[:, None] for c in sq], [c[None, :] for c in sq])
+    return _zero_pairings(p, np.stack(rows, axis=-1).reshape(-1, 5), forms)
 
 
 def scheme_counts_batch(
@@ -400,36 +395,19 @@ def scheme_counts_batch(
     [l^2 q, f] a linear functional of q, and its zeros in P2 are counted
     from its three coefficients rather than enumerated."""
     check_prime(p, min_exclusive=3)
-    forms = np.asarray(forms, dtype=np.int64) % p
-    total = len(forms)
-    w = np.array([12, 3, 2, 3, 12], dtype=np.int64)
-
-    t0, t1, t2 = np.array(list(proj_reps(p, 3)), dtype=np.int64).T
-    q2rows = (
-        np.stack(
-            [t0 * t0, 2 * t0 * t1, t1 * t1 + 2 * t0 * t2, 2 * t1 * t2, t2 * t2],
-            axis=1,
-        )
-        * w
-    ) % p
-
-    x122 = np.zeros(total, dtype=np.int64)
-    x22 = np.zeros(total, dtype=np.int64)
-    step = max(1, 2_000_000 // (p * p + p + 1))
-    for start in range(0, total, step):
-        stop = min(start + step, total)
-        ft = forms[start:stop].T
-        f0, f1, f2, f3, f4 = ft
-        acc = np.zeros(stop - start, dtype=np.int64)
-        for s0, s1 in proj_reps(p, 2):
-            c0 = (12 * f0 * s0 * s0 + 6 * f1 * s0 * s1 + 2 * f2 * s1 * s1) % p
-            c1 = (3 * f1 * s0 * s0 + 4 * f2 * s0 * s1 + 3 * f3 * s1 * s1) % p
-            c2 = (2 * f2 * s0 * s0 + 6 * f3 * s0 * s1 + 12 * f4 * s1 * s1) % p
-            # q -> c . q is one linear functional on P2: p + 1 zeros, or
-            # every point when it vanishes
-            acc += np.where((c0 | c1 | c2) == 0, p * p + p + 1, p + 1)
-        x122[start:stop] = acc
-        x22[start:stop] = np.count_nonzero((q2rows @ ft) % p == 0, axis=0)
+    forms = np.asarray(forms, dtype=np.int64)
+    # contiguous columns: the loop below reads each of them p + 1 times
+    f0, f1, f2, f3, f4 = np.ascontiguousarray(forms.T) % p
+    x122 = np.zeros(len(forms), dtype=np.int64)
+    for s0, s1 in proj_reps(p, 2):
+        c0 = (12 * f0 * s0 * s0 + 6 * f1 * s0 * s1 + 2 * f2 * s1 * s1) % p
+        c1 = (3 * f1 * s0 * s0 + 4 * f2 * s0 * s1 + 3 * f3 * s1 * s1) % p
+        c2 = (2 * f2 * s0 * s0 + 6 * f3 * s0 * s1 + 12 * f4 * s1 * s1) % p
+        # q -> c . q is one linear functional on P2: p + 1 zeros, or
+        # every point when it vanishes
+        x122 += np.where((c0 | c1 | c2) == 0, p * p + p + 1, p + 1)
+    t = np.array(list(proj_reps(p, 3)), dtype=np.int64).T
+    x22 = _zero_pairings(p, np.stack(form_product(t, t), axis=1), forms)
     return x122, x22, x1212_batch(p, forms)
 
 

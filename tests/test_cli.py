@@ -163,6 +163,7 @@ def test_usage_error_exit_two():
         ["census", "--coeff-bound", "30"],  # beyond the engine guard
         ["census", "--coeff-bound", "1", "--height", "0"],  # admits no form
         ["box-sum", "--q", "3", "--r", "5"],  # Q <= r
+        ["census", "--coeff-bound", "2", "--height", "1"],  # forces Disc = 0
     ],
 )
 def test_bad_experiment_bounds_exit_two(argv):

@@ -265,6 +265,24 @@ def test_census_s_slice():
         assert dprime % 2 and dprime % 3  # coprime to 6
 
 
+def test_census_s_slice_csv_holds_passing_rows(tmp_path):
+    # F0 is reducible, so the slice passes nothing and the CSV is its header
+    path = tmp_path / "s.csv"
+    agg = census(38, require_s=True, out_csv=str(path))
+    assert agg["passing_all"] == 0
+    assert len(path.read_text().splitlines()) == agg["passing_all"] + 1
+
+
+def test_census_s_slice_height_bounds_candidates_only():
+    # as in the engine, the height bound counts every row and caps the
+    # candidates; height(F0) = 452984832
+    for bound, candidates in ((10, 0), (452984832, 0), (452984833, 1)):
+        agg = census(38, height_bound=bound, require_s=True)
+        assert agg["total_forms"] == agg["s_rows"] == 1
+        assert agg["candidates"] == candidates
+        assert agg["passing_all"] == agg["s_passing"] == 0
+
+
 def test_census_engine_matches_scalar_rows():
     for bound in (1, 2):
         agg = census(bound)
@@ -337,7 +355,7 @@ def test_census_rejects_bad_bounds():
         census(-1, require_s=True)
     with pytest.raises(ValueError):
         census(26)  # beyond the engine guard
-    for height in (0, -5):  # a vacuous height filter
+    for height in (1, 0, -5):  # a vacuous height filter
         with pytest.raises(ValueError):
             census(2, height_bound=height)
         with pytest.raises(ValueError):

@@ -170,6 +170,45 @@ def test_scheme_counts_batch_x122_exhaustive(p):
     assert x122.tolist() == expected
 
 
+@pytest.mark.parametrize("budget", [1, 100])
+@pytest.mark.parametrize("p", [5, 7])
+def test_zero_pairings_across_chunk_edges(monkeypatch, p, budget):
+    # 100 entries hold two or three forms' worth of the X_{1^2 1^2} and
+    # X_{2^2} rows at p = 5 but less than the singular representatives, so
+    # count_xf_batch runs one form per chunk; budget 1 does that everywhere
+    monkeypatch.setattr(vectorized, "_CHUNK_ENTRIES", budget)
+    rng = np.random.default_rng(budget + p)
+    forms = rng.integers(0, p, size=(9, 5), dtype=np.int64)
+    forms = forms[np.any(forms, axis=1)]
+    x122, x22, x1212 = scheme_counts_batch(p, forms)
+    xf = count_xf_batch(p, forms)
+    assert np.array_equal(x1212_batch(p, forms), x1212)
+    for k, c in enumerate(forms.tolist()):
+        f = QuarticForm(*c, p=p)
+        expected = (count_X122(f), count_X22(f), count_X1212(f))
+        assert (x122[k], x22[k], x1212[k]) == expected
+        assert xf[k] == count_Xf(f)
+
+
+def test_zero_pairings_exact_range():
+    # dot products reach 5 (p-1)^2, cast to int32: 20719 is the largest
+    # prime that fits, 20731 the least that does not
+    with pytest.raises(ValueError, match="int32"):
+        vectorized._zero_pairings(20731, np.eye(5, dtype=np.int64), np.ones((2, 5)))
+    with pytest.raises(ValueError, match="int32"):
+        vectorized._zero_pairings(20731, None, None)  # raised before the rows are read
+    p = 20719
+    w = [12, 3, 2, 3, 12]
+    top = [-pow(v, -1, p) % p for v in w]  # weighted to p - 1 in every slot
+    rows = np.array([top, [0] * 5, [1, 0, 0, 0, 0]], dtype=np.int64)
+    forms = np.array([[p - 1] * 5, [0, 1, 0, 0, 0]], dtype=np.int64)
+    expected = [
+        sum(sum(a * b * c for a, b, c in zip(w, h, f)) % p == 0 for h in rows.tolist())
+        for f in forms.tolist()
+    ]
+    assert vectorized._zero_pairings(p, rows, forms).tolist() == expected == [1, 2]
+
+
 def test_box_coeff_array():
     b = box_coeff_array(1)
     assert b.shape == (243, 5)
