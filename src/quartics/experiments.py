@@ -15,7 +15,8 @@ isqrt(max |Disc|); the second reads each row's Omega and squarefreeness
 through its key.  Real solubility is decided by sign analysis, with the
 square locus He_f || f on Disc = 0, and irreducibility by mod-p
 certificates (no root, one root, and Stickelberger's discriminant parity)
-with exact factorization over Q for the rows no certificate decides."""
+with one exact integer batch step, by Gauss's lemma, for the rows no
+certificate decides."""
 
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 
@@ -91,8 +92,8 @@ def box_sum(Q: int, r: int) -> BoxSumResult:
 
     n(f) mod p is invariant under x <-> y, y -> -y and f -> -f, so the sum
     runs over the 8-fold orbit representatives of the box
-    (_orbit_slabs), each weighted by its orbit size; the zero form is its
-    own orbit and gets weight 0.  Their integer invariants I and J are
+    (_orbit_slabs), each weighted by its orbit size; the zero form, its
+    own orbit, is dropped.  Their integer invariants I and J are
     computed once.  For each prime p > 3 dividing some q, closed_n_batch
     reduces them mod p and returns |n| on the representatives, together
     with each one's case; the family is a union of orbits, so its
@@ -102,7 +103,9 @@ def box_sum(Q: int, r: int) -> BoxSumResult:
     weighted sum and its family representatives.  The inner sum for a
     fixed q is an integer once scaled by q'^5 (q' = q with the 2- and
     3-parts removed), so the double sum is a short exact Fraction
-    aggregation.
+    aggregation.  Its integer numerators are int64 dot products; each is
+    checked first against max |n| per prime and the total weight, and a
+    bound beyond int64 raises ValueError.
     """
     if r < 1:
         raise ValueError("positive half-width required")
@@ -113,7 +116,8 @@ def box_sum(Q: int, r: int) -> BoxSumResult:
     reps = np.concatenate([rows for rows, _ in slabs])
     w = np.concatenate([w for _, w in slabs])
     del slabs
-    w[~reps.any(axis=1)] = 0  # the zero form
+    nonzero = reps.any(axis=1)
+    reps, w = reps[nonzero], w[nonzero]
     ij = invariants_raw(tuple(reps.T))
 
     fam_idx = _family_rows(r)
@@ -124,15 +128,19 @@ def box_sum(Q: int, r: int) -> BoxSumResult:
     q_parts = {q: sorted(p for p in factorize(q).factors if p > 3) for q in qs}
     shared = {p for ps in q_parts.values() if len(ps) > 1 for p in ps}
     absn: dict[int, np.ndarray] = {}  # |n| on the representatives, primes in shared
+    nmax: dict[int, int] = {}  # max |n|, for the int64 headroom checks
     sums: dict[int, int] = {}  # |n| summed over the nonzero rows
     fam_n: dict[int, np.ndarray] = {}  # |n| on the family representatives
     stays: dict[int, np.ndarray] = {}
     cases = np.empty(len(reps), dtype=np.int8)
+    wsum = int(w.sum())
     for q in qs:
         for p in q_parts[q]:
             if p not in sums:
                 n = closed_n_batch(p, reps, ij, cases)
                 np.abs(n, out=n)
+                nmax[p] = int(n.max())
+                _check_int64(nmax[p] * wsum, f"the |n| sum at p = {p}")
                 sums[p] = int(n @ w)
                 fam_n[p] = n[fam]
                 stays[p] = cases[fam] <= Case.NONSPLIT_SQUARE
@@ -148,6 +156,8 @@ def box_sum(Q: int, r: int) -> BoxSumResult:
         if len(ps) == 1:
             num = sums[ps[0]]
         else:
+            # bounds every partial product too, as wsum >= 1
+            _check_int64(wsum * prod(nmax[p] for p in ps), f"the |n| product sum at q = {q}")
             vec = absn[ps[0]]
             for p in ps[1:]:
                 vec = vec * absn[p]
@@ -157,9 +167,19 @@ def box_sum(Q: int, r: int) -> BoxSumResult:
             den *= p
         total += Fraction(num, den**5)
 
+    # sums of a subset of the same products: the checks above cover them
     in_x, in_x_q5_one = _in_x_subsums(qs, q_parts, fam_w, fam_n, stays)
     bound = r * r / Q + r**4 / Q**2 + r**5 / Q**2.5
     return BoxSumResult(Q, r, total, bound, in_x, in_x_q5_one)
+
+
+_INT64_MAX = (1 << 63) - 1
+
+
+def _check_int64(bound: int, what: str) -> None:
+    """Raise unless a bound on an int64 result fits: numpy wraps silently."""
+    if bound > _INT64_MAX:
+        raise ValueError(f"{what} may exceed int64 (bound {bound})")
 
 
 def _family_rows(r: int) -> np.ndarray:
@@ -498,6 +518,26 @@ def _ij_key(i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return (i + _KEY_HALF) * (2 * _KEY_HALF) + (j + _KEY_HALF)
 
 
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique(a) for a 1-d array, by a sort and a neighbour mask.  On
+    int64, numpy 2.4's np.unique goes through a hash table, which is many
+    times slower on the census keys."""
+    a = np.sort(a)
+    keep = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
+def _lookup(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """np.searchsorted(table, queries) for a sorted table, with the queries
+    sorted first: the binary searches then walk the table in order, which
+    at B = 15 halves the time of unsorted queries."""
+    order = np.argsort(queries)
+    k = np.empty_like(order)
+    k[order] = np.searchsorted(table, queries[order])
+    return k
+
+
 # The 4-fold group of the census, as (permutation, signs) on (a0, ..., a4):
 # the identity, tau (y -> -y), sigma (x <-> y) and sigma tau.  All four
 # fix I, J, Disc, the height, irreducibility and real solubility.
@@ -637,21 +677,21 @@ def _batch_soluble(cols) -> np.ndarray:
 
 def _batch_irreducible(cols, idx) -> np.ndarray:
     """Irreducibility over Q for the rows selected by idx: mod-p
-    certificates first, exact factorization for the undecided rest.
+    certificates first, then one exact integer step (_batch_reducible) for
+    the rows they leave open.
 
     At a prime p, no projective root rules out linear factors, and a
     nonsingular reduction with exactly one root rules out quadratic
     splittings.  A reduction with no root whose Disc is a non-square mod p
     is irreducible of degree 4 (Stickelberger: a squarefree quartic with
     two quadratic factors has square Disc), so it rules out both; with
-    Disc = (4I^3 - J^2)/27, chi(Disc) = chi(3) chi(4I^3 - J^2)."""
+    Disc = (4I^3 - J^2)/27, chi(Disc) = chi(3) chi(4I^3 - J^2).  Rows with
+    a0 a4 = 0 have the factor y or x."""
     sub = [c[idx] for c in cols]
     n = len(idx)
-    irr = np.zeros(n, dtype=bool)
-    red = (sub[0] == 0) | (sub[4] == 0)
     no_lin = np.zeros(n, dtype=bool)
     no_quad = np.zeros(n, dtype=bool)
-    open_mask = ~red
+    open_mask = (sub[0] != 0) & (sub[4] != 0)
     for p in _CERT_PRIMES:
         if not open_mask.any():
             break
@@ -669,15 +709,76 @@ def _batch_irreducible(cols, idx) -> np.ndarray:
         no_quad[rows] |= ((roots == 1) & (disc27 != 0)) | (
             (roots == 0) & (chi[disc27] == -chi[3])
         )
-        decided = no_lin & no_quad
-        open_mask &= ~decided
-    irr |= no_lin & no_quad
-    for k in np.nonzero(open_mask)[0]:
-        irr[k] = _is_irreducible(
-            QuarticForm.from_coeffs([int(c[k]) for c in sub])
-        )
-    irr[red] = False
+        open_mask &= ~(no_lin & no_quad)
+    irr = no_lin & no_quad
+    rest = np.nonzero(open_mask)[0]
+    irr[rest] = ~_batch_reducible([c[rest] for c in sub])
     return irr
+
+
+def _divisor_table(n_max: int):
+    """The positive divisors of 1..n_max in one flat ascending array, with
+    each n's start and count in it (index n; n = 0 has none)."""
+    n = np.arange(n_max + 1)
+    hit = n[:, None] % np.maximum(n[None, :], 1) == 0
+    hit[:, 0] = False
+    hit[0] = False
+    count = hit.sum(axis=1)
+    return np.nonzero(hit)[1], np.cumsum(count) - count, count
+
+
+_DIV_FLAT, _DIV_START, _DIV_COUNT = _divisor_table(_CENSUS_GUARD)
+
+
+def _batch_reducible(cols) -> np.ndarray:
+    """Reducibility over Q of integral quartics with a0 a4 != 0, exactly.
+
+    By Gauss's lemma a row f that factors over Q factors over Z with
+    factors of the same degrees, so f is reducible exactly when it has an
+    integral factor A1 x - C1 y or A1 x^2 + B1 xy + C1 y^2 with A1 > 0
+    dividing a0 and C1 dividing a4.  Every (row, A1, C1) pair is one entry
+    of a flat expansion (np.repeat over _DIV_FLAT), and each pair tests:
+    - a rational root: f(C1, A1) = 0;
+    - a quadratic split (A1 x^2 + B1 xy + C1 y^2)(A2 x^2 + B2 xy + C2 y^2)
+      with A2 = a0/A1 and C2 = a4/C1.  The x^3 y and x^2 y^2 coefficients
+      give X + Y = a1 and XY = A1 A2 (a2 - A1 C2 - A2 C1) for X = A1 B2
+      and Y = A2 B1, so X and Y are the roots of a monic integer quadratic
+      whose discriminant must be a square.  X is taken as the larger root:
+      the same split with its two factors swapped (both negated when
+      A2 < 0) is the pair (|A2|, +-C2), whose X is the smaller one.  The
+      split exists when A1 | X, A2 | Y and the x y^3 coefficient
+      C2 B1 + C1 B2 = a3.  This covers a singular linear system in
+      (B1, B2) too, so no enumeration of B1 is needed.
+    The pairs are reduced back to rows with np.bincount.  Over |a_i| <=
+    _CENSUS_GUARD = 25, the table covers every |a0| and |a4|, |f(C1, A1)|
+    stays below 5 * 25^5 and the discriminants below 2^17, where int64 is
+    exact and a float64 square root is exact on squares; larger rows
+    raise."""
+    if any(np.abs(c).max(initial=0) > _CENSUS_GUARD for c in cols):
+        raise ValueError(f"a coefficient exceeds {_CENSUS_GUARD}, the exact step's range")
+    n0, n4 = np.abs(cols[0]), np.abs(cols[4])
+    per4 = 2 * _DIV_COUNT[n4]  # signed divisors of a4
+    per = _DIV_COUNT[n0] * per4
+    row = np.repeat(np.arange(len(n0)), per)
+    pos = np.arange(len(row)) - np.repeat(np.cumsum(per) - per, per)
+    k0, k4 = np.divmod(pos, per4[row])
+    a0, a1, a2, a3, a4 = (c[row] for c in cols)
+    A1 = _DIV_FLAT[_DIV_START[n0[row]] + k0]
+    C1 = _DIV_FLAT[_DIV_START[n4[row]] + k4 // 2] * (1 - 2 * (k4 & 1))
+    A2, C2 = a0 // A1, a4 // C1
+
+    v = a0 * C1 + a1 * A1
+    v = v * C1 + a2 * A1**2
+    v = v * C1 + a3 * A1**3
+    hit = v * C1 + a4 * A1**4 == 0
+
+    disc = a1 * a1 - 4 * A1 * A2 * (a2 - A1 * C2 - A2 * C1)
+    s = np.rint(np.sqrt(np.maximum(disc, 0))).astype(np.int64)
+    X = (a1 + s) // 2  # exact on squares, where s = a1 mod 2
+    B2, rx = np.divmod(X, A1)
+    B1, ry = np.divmod(a1 - X, A2)
+    hit |= (s * s == disc) & (rx == 0) & (ry == 0) & (C2 * B1 + C1 * B2 == a3)
+    return np.bincount(row[hit], minlength=len(n0)) > 0
 
 
 def census(
@@ -700,11 +801,16 @@ def census(
     engine sweeps the 4-fold orbit representatives of the box
     (_orbit_slabs), slab by slab, twice, and counts each with its orbit
     size.  Disc = (4I^3 - J^2)/27 depends on (I, J) alone, so the first
-    pass collects the box's distinct (I, J) pairs as sorted int64 keys and
-    factors each nonzero |Disc| once, into an Omega and a squarefree flag
-    per key.  The second pass recomputes each representative's (I, J),
-    reads its Omega and flag through its key, and decides solubility, the
-    height filter and irreducibility.  Every CSV field but the
+    pass collects the box's distinct (I, J) pairs as int64 keys, deduped by
+    sorting (_sorted_unique: a sort and a neighbour mask, never numpy's
+    hash table), and factors each distinct nonzero |Disc| once, into an
+    Omega and a squarefree flag per key.  The second pass recomputes each
+    representative's (I, J), finds its key by a binary search with the
+    slab's queries sorted first (_lookup), reads its Omega and flag, and
+    decides solubility, the height filter and irreducibility: mod-p
+    certificates, then one exact batch step for the rows they leave open,
+    so the engine never factors a form one at a time
+    (_batch_irreducible).  Every CSV field but the
     coefficients is an orbit invariant, so each slab's passing rows are
     the images of passing representatives (_expand_slab).  A
     representative whose sigma images lie in a later slab is kept, keyed
@@ -740,10 +846,10 @@ def census(
 
     # pass 1: Omega and squarefreeness per distinct (I, J)
     key_chunks = [
-        np.unique(_ij_key(*invariants_raw(cols)))
+        _sorted_unique(_ij_key(*invariants_raw(cols)))
         for _, cols, _ in _orbit_slabs(coeff_bound)
     ]
-    keys = np.unique(np.concatenate(key_chunks))
+    keys = _sorted_unique(np.concatenate(key_chunks))
     del key_chunks
     i, j = np.divmod(keys, 2 * _KEY_HALF)
     i -= _KEY_HALF
@@ -759,7 +865,8 @@ def census(
     del j
     np.abs(d, out=d)
     d //= 27
-    absdisc, inverse = np.unique(d, return_inverse=True)
+    absdisc = _sorted_unique(d)
+    inverse = _lookup(absdisc, d)
     del d
     nz = absdisc != 0
     om = np.full(len(absdisc), -1, dtype=np.int8)  # -1 marks Disc = 0
@@ -789,7 +896,7 @@ def census(
     try:
         for a0, cols, w in _orbit_slabs(coeff_bound):
             i, j = invariants_raw(cols)
-            k = np.searchsorted(keys, _ij_key(i, j))
+            k = _lookup(keys, _ij_key(i, j))
             om = key_om[k]
             sq = key_sq[k]
             totals["total_forms"] += int(w.sum())
@@ -843,7 +950,7 @@ def _expand_slab(a0: int, reps: np.ndarray, pending: dict, bound: int) -> np.nda
     from this slab or an earlier one.  pending keeps those representatives
     by a4 until their slab comes.  np.unique drops the images a stabilizer
     repeats."""
-    for a4 in np.unique(reps[:, 4]).tolist():
+    for a4 in _sorted_unique(reps[:, 4]).tolist():
         pending.setdefault(a4, []).append(reps[reps[:, 4] == a4])
     parts = []
     for rows, maps in [(reps, _GROUP[:2])] + [(b, _GROUP[2:]) for b in pending.pop(a0, [])]:

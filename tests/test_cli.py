@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from quartics import cli
+from quartics import cli, experiments
 
 
 def run_cli(argv, capsys):
@@ -100,6 +100,13 @@ def test_box_sum_command(capsys):
     num, den = map(int, payload["exact"].split("/"))
     assert abs(num / den - payload["value"]) < 1e-9
     assert payload["ratio"] == payload["value"] / payload["bound"]
+
+
+def test_box_sum_int64_headroom_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(experiments, "_INT64_MAX", 1)  # below every bound
+    code, out, err = run_cli(["box-sum", "--q", "10", "--r", "2"], capsys)
+    assert code == 2 and out == ""
+    assert "may exceed int64" in err
 
 
 def test_singular_count_command(capsys):

@@ -28,6 +28,7 @@ from quartics.experiments import (
     _aggregate_from_rows,
     _batch_irreducible,
     _batch_omega_squarefree,
+    _batch_reducible,
     _batch_soluble,
     _CENSUS_GUARD,
     _check_headroom,
@@ -35,11 +36,19 @@ from quartics.experiments import (
     _csv_record,
     _expand_slab,
     _is_irreducible,
+    _lookup,
     _orbit_slabs,
+    _sorted_unique,
 )
-from quartics.forms import QuarticForm, in_family_X, invariants_raw, is_R_soluble
+from quartics.forms import (
+    QuarticForm,
+    form_product,
+    in_family_X,
+    invariants_raw,
+    is_R_soluble,
+)
 from quartics.intfactor import factorize, is_prime, primes_below
-from quartics.vectorized import _case_tables, box_coeff_array
+from quartics.vectorized import _case_tables, box_coeff_array, closed_n_batch
 
 
 def test_omega_examples():
@@ -229,6 +238,27 @@ def test_box_sum_golden_shared_primes():
     )
 
 
+def _box_sum_18_5_bounds():
+    """The int64 bounds box_sum(18, 5) checks, from max |n| over the whole
+    box: prod_{p | q, p > 3} max |n_p| times the 161,050 nonzero forms,
+    for q = 35 (5 * 7, the largest) and for the largest single prime, 31."""
+    box = box_coeff_array(5)
+    box = box[box.any(axis=1)]
+    nmax = {p: int(np.abs(closed_n_batch(p, box)).max()) for p in (5, 7, 31)}
+    return len(box) * nmax[5] * nmax[7], len(box) * nmax[31]
+
+
+def test_box_sum_int64_headroom_is_checked(monkeypatch):
+    need, single = _box_sum_18_5_bounds()
+    exact = box_sum(18, 5).exact
+    monkeypatch.setattr(experiments, "_INT64_MAX", need)
+    assert box_sum(18, 5).exact == exact
+    for limit, what in ((need - 1, "product sum at q = 35"), (single - 1, "sum at p = 31")):
+        monkeypatch.setattr(experiments, "_INT64_MAX", limit)
+        with pytest.raises(ValueError, match=what):
+            box_sum(18, 5)
+
+
 def test_box_sum_tables_stay_cached():
     # one box_sum(80, r) needs the tables of 35 primes; all stay cached
     box_sum(80, 6)
@@ -373,13 +403,10 @@ def test_batch_irreducible_matches_scalar_on_box():
 
 
 def test_irreducibility_certificate_edge_cases(monkeypatch):
-    fallback = []
+    def refuse(f):
+        raise AssertionError("factor_over_Q reached")
 
-    def scalar(f):
-        fallback.append(f.coeffs)
-        return _is_irreducible(f)
-
-    monkeypatch.setattr(experiments, "_is_irreducible", scalar)
+    monkeypatch.setattr(experiments, "factor_over_Q", refuse)
     forms = [
         (1, 0, 0, 0, 1),  # x^4 + y^4: reducible mod every prime
         (1, 0, 3, 0, 2),  # (x^2 + y^2)(x^2 + 2y^2): square Disc where rootless
@@ -388,7 +415,88 @@ def test_irreducibility_certificate_edge_cases(monkeypatch):
     cols = tuple(np.array(c, dtype=np.int64) for c in zip(*forms))
     irr = _batch_irreducible(cols, np.arange(len(forms)))
     assert irr.tolist() == [True, False, True]
-    assert fallback == forms[:2]
+
+
+_EXACT_CASES = [
+    ((1, 0, 1, 0, 1), False),  # (x^2 + xy + y^2)(x^2 - xy + y^2): singular system
+    ((1, 0, 2, 0, 1), False),  # (x^2 + y^2)^2
+    ((2, 0, 0, 0, 2), True),  # 2 (x^4 + y^4): content 2
+    ((2, -1, 2, 1, -1), False),  # (2x - y)(x^3 + xy^2 + y^3): the root 1/2
+    ((1, 0, 0, 0, 1), True),  # x^4 + y^4
+]
+
+
+@pytest.mark.parametrize("coeffs, irreducible", _EXACT_CASES)
+def test_batch_reducible_named_cases(coeffs, irreducible):
+    assert _is_irreducible(QuarticForm(*coeffs)) == irreducible
+    cols = tuple(np.array([c], dtype=np.int64) for c in coeffs)
+    assert _batch_reducible(cols).tolist() == [not irreducible]
+
+
+def test_batch_reducible_matches_scalar_on_box():
+    # the exact step alone, with the certificates bypassed
+    box = box_coeff_array(3)
+    box = box[(box[:, 0] != 0) & (box[:, 4] != 0)]
+    red = _batch_reducible(tuple(box.T))
+    for k, row in enumerate(box):
+        assert red[k] != _is_irreducible(QuarticForm.from_coeffs(row.tolist())), row
+
+
+_B25 = st.integers(-_CENSUS_GUARD, _CENSUS_GUARD)
+_NONZERO_B25 = _B25.filter(bool)
+
+
+@st.composite
+def _quartics_up_to_b25(draw):
+    """A quartic with a0 a4 != 0 drawn directly with |a_i| <= 25, or as a
+    product of a linear and a cubic form or of two quadratic forms, which
+    random draws would seldom be; the caller filters to |a_i| <= 25."""
+    kind = draw(st.sampled_from(["random", "linear", "quadratic"]))
+    if kind == "random":
+        f = [draw(_NONZERO_B25), *draw(st.tuples(_B25, _B25, _B25)), draw(_NONZERO_B25)]
+    else:
+        deg = 1 if kind == "linear" else 2
+        small = st.integers(-5, 5)
+        u = [draw(small) for _ in range(deg + 1)]
+        v = [draw(small) for _ in range(5 - deg)]
+        f = form_product(u, v)
+    return tuple(f)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.lists(
+        _quartics_up_to_b25().filter(
+            lambda f: f[0] * f[4] != 0 and max(map(abs, f)) <= _CENSUS_GUARD
+        ),
+        min_size=1,
+        max_size=20,
+    )
+)
+def test_batch_reducible_matches_scalar_up_to_b25(forms):
+    cols = tuple(np.array(c, dtype=np.int64) for c in zip(*forms))
+    red = _batch_reducible(cols)
+    for k, f in enumerate(forms):
+        assert red[k] != _is_irreducible(QuarticForm(*f)), f
+
+
+def test_batch_reducible_rejects_rows_beyond_guard():
+    big = (_CENSUS_GUARD + 1, 0, 0, 0, 1)
+    with pytest.raises(ValueError):
+        _batch_reducible(tuple(np.array([c], dtype=np.int64) for c in big))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=40))
+@example([])
+@example([7] * 5)
+@example([-(2**63), 2**63 - 1, -(2**63), 0, 2**63 - 1])
+def test_sorted_unique_matches_np_unique(values):
+    a = np.array(values, dtype=np.int64)
+    uniq, inverse = np.unique(a, return_inverse=True)
+    assert np.array_equal(_sorted_unique(a), uniq)
+    assert _sorted_unique(a).dtype == np.int64
+    assert np.array_equal(_lookup(uniq, a), inverse)
 
 
 def test_census_height_filter():
@@ -548,10 +656,12 @@ def test_csv_lines_match_csv_writer(rows):
 
 
 def test_census_makes_no_scalar_solubility_calls(monkeypatch):
+    # nor any exact factorization: the batch step decides every open row
     def refuse(f):
-        raise AssertionError("scalar is_R_soluble reached")
+        raise AssertionError("a scalar solubility or factorization call reached")
 
     monkeypatch.setattr(experiments, "is_R_soluble", refuse)
+    monkeypatch.setattr(experiments, "factor_over_Q", refuse)
     assert census(5) == CENSUS_5
 
 
