@@ -6,9 +6,9 @@ over ~p^5-sized spaces.  All arithmetic is exact: int64 modular work plus
 BLAS float64 products of nonnegative integers.  Every count of zero
 pairings goes through _zero_pairings, whose dot products are at most
 5 (p-1)^2; it checks in code, before any product, that this fits the int32
-it casts to (primes up to 20,719).  The oracle's fibre product also carries each
-form's bincount offset, and oracle_n_batch checks in code, before its
-loop, that its largest index is below 2^53.  The scalar/vectorized
+it casts to (primes up to 20,719).  The oracle's fibre product also
+carries each form's bincount offset, and _fibre_product checks in code,
+before its loop, that its largest index is below 2^53.  The scalar/vectorized
 agreement is itself part of the test suite.
 
 Memory discipline, per chunk: every float64 product, pairing or fibre,
@@ -20,6 +20,20 @@ for k forms, m < 5p^2 + p.  Beyond those, memory is the size of the
 inputs and outputs: a row set (p^5 x 5 for all_forms_array, a
 (2r+1)^5 x 5 box), a few row-length vectors, and the singular set of
 about p^4 rows.
+
+The pairing table (_pairing_table) holds the fibres of every one of the
+p^5 forms at once: p^6 float64 entries, 0.9 MB at p = 7, 14 MB at p = 11
+and 39 MB at p = 13, up to three such arrays during a stage, and a
+(p^5, p) int64 result of the same size.  Its entries count rows, so they
+are integers at most the number of rows and every BLAS sum is exact; each
+table row must sum to that number, which is checked.  _table_rows takes
+the table when |rows| |forms| >= p^8, that is when its 5 p^8
+multiply-adds are no more than the direct product's.  The rule errs
+towards the direct path: on one BLAS thread (2 vCPU), the table already
+won from 51, 284 and 2,009 forms for the full fibres over the singular
+set at p = 5, 7 and 11 (the rule: 539, 2,139 and 13,523), and from 335,
+1,221 and 10,380 forms for the zero pairings against the projective
+representatives (the rule: 2,158, 12,839 and 135,242).
 """
 
 from __future__ import annotations
@@ -147,24 +161,97 @@ def trace_table(p: int) -> np.ndarray:
 # Oracle: exact n = p^5 * Phi_hat_p(f) from fibers over the singular cone
 
 
+def _pairing_table(p: int, rows: np.ndarray) -> np.ndarray:
+    """(p^5, p) int64 table N[f, t] = #{w in rows : [w, f] = t mod p} for
+    every form f, in lexicographic order, rows counted with multiplicity.
+
+    The pairing is diagonal, so the table grows one coordinate at a time
+    from the float64 histogram H[w0, .., w4, t] of the rows (all at t = 0).
+    Stage k replaces w_k by f_k: one BLAS product of the (p^4, p^2) view
+    with columns (w_k, s) by the 0/1 matrix M[(w, s), (f, t)] =
+    [t = s + c_k f w mod p], after which f_k moves to the front, so that
+    the next stage's coordinate sits beside t.  Every entry counts rows, so
+    every table row must sum to len(rows); that is checked."""
+    rows = np.asarray(rows, dtype=np.int64) % p
+    q = p**4
+    table = np.bincount(rows @ p ** np.arange(5, 0, -1), minlength=p * p * q)
+    table = table.astype(np.float64)
+    w, s, f, t = np.ix_(*[np.arange(p)] * 4)
+    for c in _PAIRING_WEIGHTS[::-1]:
+        stage = ((s + c * f * w - t) % p == 0).reshape(p * p, p * p).astype(np.float64)
+        table = (table.reshape(q, p * p) @ stage).reshape(q, p, p).transpose(1, 0, 2)
+    table = table.reshape(p * q, p).astype(np.int64)
+    if np.any(table.sum(axis=1) != len(rows)):
+        raise RuntimeError(f"pairing table at p={p} does not conserve the row count")
+    return table
+
+
+def _table_rows(p: int, rows: np.ndarray, forms: np.ndarray) -> np.ndarray | None:
+    """The rows of _pairing_table(p, rows) at the forms (reduced mod p),
+    when the table's 5 p^8 multiply-adds cost no more than the direct
+    product's |rows| |forms| dot products; else None."""
+    if len(rows) * len(forms) < p**8:
+        return None
+    return _pairing_table(p, rows)[forms @ p ** np.arange(4, -1, -1)]
+
+
 def _zero_pairings(p: int, rows: np.ndarray, forms: np.ndarray) -> np.ndarray:
     """For each form f, the number of rows h with [h, f] = 0 mod p.
 
-    The rows are weighted by _PAIRING_WEIGHTS mod p once.  Each chunk of
+    Column 0 of the pairing table when _table_rows takes it.  Otherwise the
+    rows are weighted by _PAIRING_WEIGHTS mod p once, and each chunk of
     forms is one float64 BLAS product of residues, of at most
     _CHUNK_ENTRIES entries unless one form alone needs more.  Every dot
     product is at most 5 (p-1)^2, checked to fit int32 before any product;
     float64 holds it exactly."""
     if 5 * (p - 1) ** 2 > np.iinfo(np.int32).max:
         raise ValueError(f"pairings at p={p} exceed the int32 range")
-    wr = (np.asarray(rows, dtype=np.int64) % p * _PAIRING_WEIGHTS % p).astype(np.float64)
     forms = np.asarray(forms, dtype=np.int64) % p
+    fibres = _table_rows(p, rows, forms)
+    if fibres is not None:
+        return fibres[:, 0].copy()
+    wr = (np.asarray(rows, dtype=np.int64) % p * _PAIRING_WEIGHTS % p).astype(np.float64)
     out = np.empty(len(forms), dtype=np.int64)
     step = max(1, _CHUNK_ENTRIES // max(len(wr), 1))
     for start in range(0, len(forms), step):
         stop = start + step
         vals = (wr @ forms[start:stop].T.astype(np.float64)).astype(np.int32)
         out[start:stop] = np.count_nonzero(vals % np.int32(p) == 0, axis=0)
+    return out
+
+
+def _fibre_product(p: int, rows: np.ndarray, forms: np.ndarray) -> np.ndarray:
+    """(len(forms), p) int64 fibres N[k, t] = #{w in rows : [w, f_k] = t},
+    forms reduced mod p, by one float64 BLAS product per chunk of forms.
+
+    The product gives every bincount index at once: the weighted rows, a
+    contiguous (6, n) block, carry a ones row and the forms a column of
+    offsets k*m, so entry (k, w) is k*m plus a representative of [w, f_k]
+    in [0, 5(p-1)^2], below m.  m is a multiple of p, so the (k, m)
+    histogram folds into the (k, p) fibre histogram over m/p blocks.  The
+    product and its int64 copy are buffers allocated once per call, not
+    once per chunk."""
+    n = len(rows)
+    m = p * (5 * (p - 1) ** 2 // p + 1)
+    step = max(1, min(_CHUNK_ENTRIES // n, len(forms)))
+    if (step + 1) * m >= 2**53:
+        raise RuntimeError(f"fibre indices at p={p} exceed the float64 exact range")
+    ws = np.ones((6, n))
+    ws[:5] = rows.T
+    ws[:5] *= _PAIRING_WEIGHTS[:, None]
+    ws[:5] %= p
+    prod = np.empty((step, n))
+    idx = np.empty((step, n), dtype=np.int64)
+    out = np.empty((len(forms), p), dtype=np.int64)
+    for start in range(0, len(forms), step):
+        k = min(step, len(forms) - start)
+        fs = np.empty((6, k))
+        fs[:5] = forms[start : start + k].T
+        fs[5] = np.arange(k) * m
+        np.matmul(fs.T, ws, out=prod[:k])
+        np.copyto(idx[:k], prod[:k], casting="unsafe")
+        hist = np.bincount(idx[:k].ravel(), minlength=k * m)
+        out[start : start + k] = hist.reshape(k, m // p, p).sum(axis=1)
     return out
 
 
@@ -181,57 +268,34 @@ def oracle_n_batch(p: int, forms: np.ndarray, check_fibers: bool = True) -> np.n
     With check_fibers the full fiber vector of w -> 12[w, f] over the
     entire singular set is computed and all nonzero fibers are required to
     coincide (the cone property that makes the transform rational) -- the
-    debug oracle of record.  The fast path evaluates N0 through the cone
-    decomposition {0} u F_p^x * X(F_p) as 1 + (p-1) #X^f (the scalar
-    partition of the singular set is verified by cardinality), and still
-    asserts the implied divisibility (p-1) | (N - N0).
+    debug oracle of record.  The fibres come from the pairing table when
+    _table_rows takes it, else from _fibre_product.  The fast path
+    evaluates N0 through the cone decomposition {0} u F_p^x * X(F_p) as
+    1 + (p-1) #X^f (the scalar partition of the singular set is verified
+    by cardinality), and still asserts the implied divisibility
+    (p-1) | (N - N0).
     """
     check_prime(p, min_exclusive=3)
-    n_sing = len(singular_coeff_array(p))
+    sing = singular_coeff_array(p)
+    n_sing = len(sing)
     forms = np.asarray(forms, dtype=np.int64) % p
-    if not check_fibers:
+    if check_fibers:
+        fibres = _table_rows(p, sing, forms)
+        if fibres is None:
+            fibres = _fibre_product(p, sing, forms)
+        n0 = fibres[:, 0]
+        nonzero = fibres[:, 1:]
+        if np.any(nonzero.max(axis=1) != nonzero.min(axis=1)):
+            raise RuntimeError("nonzero fibers differ: cone property violated")
+    else:
         reps = singular_proj_array(p)
         if n_sing != 1 + (p - 1) * len(reps):
             raise RuntimeError("singular cone does not partition into scalar lines")
         n0 = 1 + (p - 1) * count_xf_batch(p, forms)
-        rest = n_sing - n0
-        if np.any(rest % (p - 1)):
-            raise RuntimeError("(p-1) does not divide the off-kernel fiber mass")
-        return n0 - rest // (p - 1)
-
-    # One float64 product per chunk gives every bincount index at once: the
-    # singular rows carry a ones column and the forms a row of offsets k*m,
-    # so entry (w, k) is k*m plus a representative of 12[w, f_k] in
-    # [0, 5(p-1)^2], below m.  m is a multiple of p, so the (k, m)
-    # histogram folds into the (k, p) fibre histogram over m/p blocks.
-    m = p * (5 * (p - 1) ** 2 // p + 1)
-    step = max(1, _CHUNK_ENTRIES // n_sing)
-    if (step + 1) * m >= 2**53:
-        raise RuntimeError(f"fibre indices at p={p} exceed the float64 exact range")
-    # in place: int64 temporaries the size of the singular set would set
-    # verify-theorem's peak RSS, which then moved 4 MB with the heap layout
-    ws = np.ones((n_sing, 6))
-    ws[:, :5] = singular_coeff_array(p)
-    ws[:, :5] *= _PAIRING_WEIGHTS
-    ws[:, :5] %= p
-    out = np.empty(len(forms), dtype=np.int64)
-    for start in range(0, len(forms), step):
-        stop = min(start + step, len(forms))
-        k = stop - start
-        fs = np.empty((6, k))
-        fs[:5] = forms[start:stop].T
-        fs[5] = np.arange(k) * m
-        idx = (ws @ fs).astype(np.int64).ravel()
-        hist = np.bincount(idx, minlength=k * m).reshape(k, m // p, p).sum(axis=1)
-        n0 = hist[:, 0]
-        nonzero = hist[:, 1:]
-        if np.any(nonzero.max(axis=1) != nonzero.min(axis=1)):
-            raise RuntimeError("nonzero fibers differ: cone property violated")
-        rest = n_sing - n0
-        if np.any(rest % (p - 1)):
-            raise RuntimeError("(p-1) does not divide the off-kernel fiber mass")
-        out[start:stop] = n0 - rest // (p - 1)
-    return out
+    rest = n_sing - n0
+    if np.any(rest % (p - 1)):
+        raise RuntimeError("(p-1) does not divide the off-kernel fiber mass")
+    return n0 - rest // (p - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -393,19 +457,24 @@ def scheme_counts_batch(
     """Brute (#X_{1^2 2}, #X_{2^2}, #X_{1^2 1^2}) for every row of forms,
     by enumeration of the source spaces.  For X_{1^2 2}, each line l makes
     [l^2 q, f] a linear functional of q, and its zeros in P2 are counted
-    from its three coefficients rather than enumerated."""
+    from its three coefficients rather than enumerated, over chunks of
+    rows that hold at most _CHUNK_ENTRIES (row, line) pairs."""
     check_prime(p, min_exclusive=3)
     forms = np.asarray(forms, dtype=np.int64)
-    # contiguous columns: the loop below reads each of them p + 1 times
-    f0, f1, f2, f3, f4 = np.ascontiguousarray(forms.T) % p
+    lines = list(proj_reps(p, 2))
     x122 = np.zeros(len(forms), dtype=np.int64)
-    for s0, s1 in proj_reps(p, 2):
-        c0 = (12 * f0 * s0 * s0 + 6 * f1 * s0 * s1 + 2 * f2 * s1 * s1) % p
-        c1 = (3 * f1 * s0 * s0 + 4 * f2 * s0 * s1 + 3 * f3 * s1 * s1) % p
-        c2 = (2 * f2 * s0 * s0 + 6 * f3 * s0 * s1 + 12 * f4 * s1 * s1) % p
-        # q -> c . q is one linear functional on P2: p + 1 zeros, or
-        # every point when it vanishes
-        x122 += np.where((c0 | c1 | c2) == 0, p * p + p + 1, p + 1)
+    step = max(1, _CHUNK_ENTRIES // len(lines))
+    for start in range(0, len(forms), step):
+        # contiguous columns: the loop below reads each of them p + 1 times
+        f0, f1, f2, f3, f4 = np.ascontiguousarray(forms[start : start + step].T) % p
+        out = x122[start : start + step]
+        for s0, s1 in lines:
+            c0 = (12 * f0 * s0 * s0 + 6 * f1 * s0 * s1 + 2 * f2 * s1 * s1) % p
+            c1 = (3 * f1 * s0 * s0 + 4 * f2 * s0 * s1 + 3 * f3 * s1 * s1) % p
+            c2 = (2 * f2 * s0 * s0 + 6 * f3 * s0 * s1 + 12 * f4 * s1 * s1) % p
+            # q -> c . q is one linear functional on P2: p + 1 zeros, or
+            # every point when it vanishes
+            out += np.where((c0 | c1 | c2) == 0, p * p + p + 1, p + 1)
     t = np.array(list(proj_reps(p, 3)), dtype=np.int64).T
     x22 = _zero_pairings(p, np.stack(form_product(t, t), axis=1), forms)
     return x122, x22, x1212_batch(p, forms)

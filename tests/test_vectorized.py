@@ -113,15 +113,81 @@ def test_oracle_batch_modes_agree(p):
     )
 
 
+def _spy_tables(monkeypatch) -> list:
+    """Record the p of every _pairing_table build."""
+    built, table = [], vectorized._pairing_table
+    monkeypatch.setattr(
+        vectorized, "_pairing_table", lambda p, rows: built.append(p) or table(p, rows)
+    )
+    return built
+
+
 def test_oracle_fibre_check_rejects_a_nonsingular_row(monkeypatch):
-    # one singular row swapped for x^4 + y^4, Disc != 0 mod 5: the folded
-    # fibre histogram of some form is no longer flat off zero
+    # one singular row swapped for x^4 + y^4, Disc != 0 mod 5: the fibres
+    # of some form are no longer flat off zero, on both paths: all forms
+    # take the pairing table, 500 forms (500 * 725 < 5^8) the direct product
     p = 5
     sing = singular_coeff_array(p).copy()
     sing[-1] = [1, 0, 0, 0, 1]
     monkeypatch.setattr(vectorized, "singular_coeff_array", lambda q: sing)
-    with pytest.raises(RuntimeError, match="cone property"):
-        oracle_n_batch(p, all_forms_array(p), check_fibers=True)
+    built = _spy_tables(monkeypatch)
+    for forms, tables in ((all_forms_array(p), [p]), (all_forms_array(p)[:500], [])):
+        built.clear()
+        with pytest.raises(RuntimeError, match="cone property"):
+            oracle_n_batch(p, forms, check_fibers=True)
+        assert built == tables
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_pairing_table_matches_direct(monkeypatch, p):
+    # every row set the kernels are given: the singular set, and through
+    # scheme_counts_batch the projective singular representatives and the
+    # X_{2^2} and X_{1^2 1^2} rows; then a set with a row twice over and
+    # an unreduced row that breaks the x <-> y symmetry of the others
+    sets, kernel = [singular_coeff_array(p)], vectorized._zero_pairings
+    monkeypatch.setattr(
+        vectorized, "_zero_pairings", lambda q, rows, f: sets.append(rows) or kernel(q, rows, f)
+    )
+    count_xf_batch(p, all_forms_array(p)[1:2])
+    scheme_counts_batch(p, all_forms_array(p)[1:2])
+    rows = np.concatenate([sets[0], sets[0][:1], [[p + 1, -1, 0, 2 * p, 3]]])
+    sets.append(rows)
+    assert len(sets) == 5
+    forms = all_forms_array(p)
+    for r in sets:
+        table = vectorized._pairing_table(p, r)
+        assert np.array_equal(table, vectorized._fibre_product(p, r, forms))
+    assert table[0, 0] == len(rows)  # the zero form pairs every row to 0, repeats counted
+    # the gather, on forms out of order
+    shuffled = np.random.default_rng(p).permutation(forms)
+    assert np.array_equal(
+        vectorized._table_rows(p, rows, shuffled), vectorized._fibre_product(p, rows, shuffled)
+    )
+
+
+def test_pairing_table_checks_mass(monkeypatch):
+    # a weight that is no residue leaves some (w, s, f) without a t, so
+    # mass leaks out of the table
+    monkeypatch.setattr(vectorized, "_PAIRING_WEIGHTS", np.array([12, 3, 2, 3, 0.5]))
+    with pytest.raises(RuntimeError, match="row count"):
+        vectorized._pairing_table(5, singular_coeff_array(5))
+
+
+def test_table_selection_by_input_size(monkeypatch):
+    # the rule |rows| |forms| >= p^8 at its edge, then on verify-theorem's
+    # prime tasks: the exhaustive p = 7 builds the table, the 200 sampled
+    # forms at p = 11 do not
+    from quartics import cli
+
+    rows = all_forms_array(5)[:625]  # 625 * 625 = 5^8
+    assert vectorized._table_rows(5, rows, rows[:624]) is None
+    assert vectorized._table_rows(5, rows, rows) is not None
+    built = _spy_tables(monkeypatch)
+    assert cli._verify_prime((7, None, 1))["mismatches"] == 0
+    assert built == [7]
+    built.clear()
+    assert cli._verify_prime((11, 200, 1))["mismatches"] == 0
+    assert built == []
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 61])
