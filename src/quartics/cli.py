@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .schemes import (
     count_X1212,
     count_X22,
 )
-from .vectorized import all_forms_array, oracle_n_batch, x1212_batch
+from .vectorized import all_forms_array, closed_n_batch, oracle_n_batch, x1212_batch
 
 
 def _emit(payload: dict) -> None:
@@ -61,26 +60,22 @@ def _verify_prime(args) -> dict:
         rng = np.random.default_rng([seed, p])
         forms = rng.integers(0, p, size=(samples, 5), dtype=np.int64)
     oracle = oracle_n_batch(p, forms)
-    bad = []
-    for k in range(len(forms)):
-        c = tuple(int(v) for v in forms[k])
-        n_closed = closed_n(p, c)
-        if n_closed != int(oracle[k]):
-            bad.append(
-                {
-                    "p": p,
-                    "form": format_form(c),
-                    "oracle_n": int(oracle[k]),
-                    "closed_n": n_closed,
-                }
-            )
-            if len(bad) >= 3:
-                break
+    closed = closed_n_batch(p, forms)
+    bad = np.flatnonzero(oracle != closed)
+    examples = [
+        {
+            "p": p,
+            "form": format_form(tuple(int(v) for v in forms[k])),
+            "oracle_n": int(oracle[k]),
+            "closed_n": int(closed[k]),
+        }
+        for k in bad[:3]
+    ]
     return {
         "p": p,
         "forms": len(forms),
         "mismatches": len(bad),
-        "examples": bad,
+        "examples": examples,
     }
 
 
@@ -99,6 +94,8 @@ def cmd_verify_theorem(ns) -> int:
     if ns.threads < 1:
         return _usage_error("verify-theorem", "--threads must be at least 1")
     if ns.threads > 1 and len(tasks) > 1:
+        from multiprocessing import Pool  # here, so importing the CLI loads none of it
+
         with Pool(ns.threads) as pool:
             results = pool.map(_verify_prime, tasks)
     else:

@@ -34,14 +34,13 @@ from .forms import (
     format_form,
     height_raw,
     hessian_raw,
-    in_family_X,
     invariants,
     invariants_raw,
     is_R_soluble,
 )
 from .elliptic import S_MODULUS
 from .intfactor import FactorResult, factorize, primes_below
-from .vectorized import Case, chi_array, closed_n_batch
+from .vectorized import Case, chi_array, closed_n_batch, proportional
 
 __all__ = [
     "F0",
@@ -274,23 +273,26 @@ def family_x_forms_in_box(r: int) -> set:
     return forms
 
 
+def _family_member(cols, i, j) -> np.ndarray:
+    """Family membership of integer rows with Disc = 0, given their I and J:
+    I = J = 0 (a triple or quadruple root, or f = 0), or He_f || f (f =
+    c q^2).  closed_n_batch applies the same rule mod p; forms.in_family_X
+    is the scalar contract."""
+    return ((i == 0) & (j == 0)) | proportional(cols, hessian_raw(cols))
+
+
 def family_counts_by_radius(rmax: int) -> list[int]:
     """|V(Z) & rB & family| for r = 0..rmax (index r) from one exhaustive
     scan of rmax B.  The family and max |a_i| are invariant under x <-> y,
     y -> -y and f -> -f, so the scan runs over the 8-fold orbit
     representatives, one slab at a time: a vectorized Disc = 0 prefilter,
-    exact Q-factorization of each survivor, and a histogram of max |a_i|
+    _family_member on its survivors in batch, and a histogram of max |a_i|
     over the members weighted by orbit size, summed cumulatively."""
     hist = np.zeros(rmax + 1, dtype=np.int64)
     for _, cols, w in _orbit_slabs(rmax, negate=True):
         i, j = invariants_raw(cols)
         cand = np.flatnonzero(4 * i**3 == j * j)
-        member = np.array(
-            [in_family_X(QuarticForm.from_coeffs([int(c[k]) for c in cols]))
-             for k in cand.tolist()],
-            dtype=bool,
-        )
-        keep = cand[member]
+        keep = cand[_family_member(tuple(c[cand] for c in cols), i[cand], j[cand])]
         radius = np.max([np.abs(c[keep]) for c in cols], axis=0)
         np.add.at(hist, radius, w[keep])
     return np.cumsum(hist).tolist()

@@ -19,7 +19,10 @@ a fibre chunk's int64 copy as much again, and its histogram has k*m bins
 for k forms, m < 5p^2 + p.  Beyond those, memory is the size of the
 inputs and outputs: a row set (p^5 x 5 for all_forms_array, a
 (2r+1)^5 x 5 box), a few row-length vectors, and the singular set of
-about p^4 rows.
+about p^4 rows.  singular_coeff_array writes that set slab by slab into
+one preallocated array, 5.5 MB at p = 19, beside a handful of p^4-entry
+int64 grids of I, J and their steps (1 MB each at p = 19); no slab list
+and no concatenated copy.
 
 The pairing table (_pairing_table) holds the fibres of every one of the
 p^5 forms at once: p^6 float64 entries, 0.9 MB at p = 7, 14 MB at p = 11
@@ -56,6 +59,7 @@ __all__ = [
     "count_xf_batch",
     "oracle_n_batch",
     "Case",
+    "proportional",
     "closed_n_batch",
     "x1212_batch",
     "scheme_counts_batch",
@@ -80,26 +84,44 @@ def all_forms_array(p: int) -> np.ndarray:
 
 @lru_cache(maxsize=12)
 def singular_coeff_array(p: int) -> np.ndarray:
-    """(p^4 + p^3 - p^2, 5) array of all singular forms, zero row included,
-    in lexicographic order.
+    """(p^4 + p^3 - p^2, 5) read-only array of all singular forms, zero row
+    included, in lexicographic order.
 
-    Each slab of fixed a0 is tested on a broadcast (p, p, p, p) grid of
-    (a1, a2, a3, a4); np.nonzero lists its hits in lexicographic order.
+    No monomial of I or J has a0 twice, so both are affine in a0:
+    invariants_raw runs on the broadcast (p, p, p, p) grid of (a1, a2, a3,
+    a4) at a0 = 0 and at a0 = 1, and each later slab steps (I, J) mod p by
+    the difference.  A slab's hits are the grid points whose (I, J) cell of
+    one p x p table of 4I^3 = J^2 is set; np.nonzero lists them in
+    lexicographic order, and they go straight into the preallocated
+    result.  Raises RuntimeError before a slab would write past its end,
+    and when the hits leave it short.
     """
     check_prime(p, min_exclusive=3)
+    size = p**4 + p**3 - p**2
     grid = np.ix_(*[np.arange(p, dtype=np.int64)] * 4)
-    slabs = []
+    i, j = (np.broadcast_to(x, (p,) * 4) % p for x in invariants_raw((0, *grid)))
+    di, dj = ((x - x0) % p for x, x0 in zip(invariants_raw((1, *grid)), (i, j)))
+    v = np.arange(p, dtype=np.int64)
+    on_disc = ((4 * v[:, None] ** 3 - v * v) % p == 0).ravel()
+    out = np.empty((size, 5), dtype=np.int64)
+    start = 0
     for a0 in range(p):
-        i, j = (v % p for v in invariants_raw((a0, *grid)))
-        hits = np.nonzero((4 * i**3 - j * j) % p == 0)
-        slab = np.empty((len(hits[0]), 5), dtype=np.int64)
-        slab[:, 0] = a0
+        if a0:
+            i += di
+            i %= p
+            j += dj
+            j %= p
+        hits = np.nonzero(on_disc[i * p + j])
+        stop = start + len(hits[0])
+        if stop > size:
+            raise RuntimeError(f"singular count at p={p} passes {size} in slab a0={a0}")
+        out[start:stop, 0] = a0
         for k, col in enumerate(hits, start=1):
-            slab[:, k] = col
-        slabs.append(slab)
-    out = np.concatenate(slabs)
-    if len(out) != p**4 + p**3 - p**2:
-        raise RuntimeError(f"singular count mismatch at p={p}: {len(out)}")
+            out[start:stop, k] = col
+        start = stop
+    if start != size:
+        raise RuntimeError(f"singular count mismatch at p={p}: {start}")
+    out.flags.writeable = False
     return out
 
 
@@ -111,7 +133,9 @@ def singular_proj_array(p: int) -> np.ndarray:
     first = np.argmax(nz, axis=1)
     lead = sing[np.arange(len(sing)), first]
     keep = (lead == 1) & nz.any(axis=1)
-    return sing[keep]
+    reps = sing[keep]
+    reps.flags.writeable = False
+    return reps
 
 
 @lru_cache(maxsize=_PRIME_TABLES)
@@ -302,6 +326,19 @@ def oracle_n_batch(p: int, forms: np.ndarray, check_fibers: bool = True) -> np.n
 # Closed formula, fully vectorized
 
 
+def proportional(f, g, p: int | None = None) -> np.ndarray:
+    """Row by row, whether the five columns f and g are proportional: all
+    ten 2x2 minors f_a g_b - f_b g_a vanish, mod p when p is given.  A zero
+    row of either is proportional to everything.  With g = He_f on Disc = 0
+    this tells the square locus c q^2 from the lone double roots."""
+    out = np.ones(np.shape(f[0]), dtype=bool)
+    for a in range(5):
+        for b in range(a + 1, 5):
+            minor = f[a] * g[b] - f[b] * g[a]
+            out &= (minor if p is None else minor % p) == 0
+    return out
+
+
 _EVAL_POINTS = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2))  # pairwise distinct in P1 for p >= 5
 
 
@@ -393,10 +430,7 @@ def closed_n_batch(
     if len(rows):
         sub = tuple((np.take(forms, rows, axis=0) % p).T)
         he = hessian_mod(sub, p)
-        prop = np.ones(len(rows), dtype=bool)
-        for a in range(5):
-            for b in range(a + 1, 5):
-                prop &= (sub[a] * he[b] - sub[b] * he[a]) % p == 0
+        prop = proportional(sub, he, p)
         # not proportional: a lone double root, as the table has it
         if np.any(prop):
             sq = tuple(c[prop] for c in sub)

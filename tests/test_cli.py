@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from quartics import cli, experiments
+from quartics import cli, experiments, vectorized
 
 
 def run_cli(argv, capsys):
@@ -91,6 +91,45 @@ def test_verify_theorem_deterministic_and_thread_invariant(capsys):
     assert out1 == out2
     _, out3, _ = run_cli(argv + ["--threads", "2"], capsys)
     assert out1 == out3
+
+
+def test_verify_theorem_counts_every_mismatch(capsys, monkeypatch):
+    # a closed side that disagrees on five rows of p = 5: all five are
+    # counted, the first three in index order are the examples
+    closed_n_batch = cli.closed_n_batch
+    wrong = [3, 10, 11, 40, 3000]
+
+    def skewed(p, forms):
+        n = closed_n_batch(p, forms).copy()
+        if p == 5:
+            n[wrong] += 1
+        return n
+
+    monkeypatch.setattr(cli, "closed_n_batch", skewed)
+    code, out, _ = run_cli(["verify-theorem", "--exhaustive-pmax", "7"], capsys)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    five, seven = payload["exhaustive"]
+    assert (five["p"], five["forms"], five["mismatches"]) == (5, 3125, 5)
+    assert (seven["mismatches"], seven["examples"]) == (0, [])
+    forms = vectorized.all_forms_array(5)[wrong[:3]]
+    oracle = vectorized.oracle_n_batch(5, forms)
+    assert five["examples"] == [
+        {"p": 5, "form": ",".join(map(str, f)), "oracle_n": int(n), "closed_n": int(n) + 1}
+        for f, n in zip(forms.tolist(), oracle)
+    ]
+
+
+def test_import_loads_no_multiprocessing():
+    # Pool is imported by the threaded verify-theorem path alone
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, quartics.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
 
 
 def test_box_sum_command(capsys):
@@ -249,20 +288,22 @@ def test_threads_flag_alone_sets_threads():
 
 
 def test_singular_count_scans_each_box_once(capsys, monkeypatch):
-    # in_family_X runs once per Disc = 0 orbit of 3B under x <-> y, y -> -y
-    # and f -> -f, and not again for 1B and 2B
-    from quartics import experiments
-    from quartics.forms import in_family_X, invariants_raw
+    # the batch family classifier sees each Disc = 0 orbit of 3B under
+    # x <-> y, y -> -y and f -> -f once, and the rows of 1B and 2B not again
+    from quartics.forms import invariants_raw
     from quartics.vectorized import box_coeff_array
 
-    calls = []
+    classify = experiments._family_member
+    rows = []
     monkeypatch.setattr(
-        experiments, "in_family_X", lambda f: calls.append(f) or in_family_X(f)
+        experiments,
+        "_family_member",
+        lambda cols, i, j: rows.append(len(i)) or classify(cols, i, j),
     )
     code, out, _ = run_cli(["singular-count", "--rmax", "3"], capsys)
     assert code == 0
-    rows = json.loads(out)["rows"]
-    assert [row["exhaustive"] for row in rows] == [row["parametrized"] for row in rows]
+    payload = json.loads(out)["rows"]
+    assert [row["exhaustive"] for row in payload] == [row["parametrized"] for row in payload]
     reps = 0
     for f in box_coeff_array(3).tolist():
         a0, a1, a2, a3, a4 = f
@@ -270,7 +311,7 @@ def test_singular_count_scans_each_box_once(capsys, monkeypatch):
         if 4 * i**3 == j * j:
             orbit = [f, [a4, a3, a2, a1, a0], [a0, -a1, a2, -a3, a4], [a4, -a3, a2, -a1, a0]]
             reps += f == min(orbit + [[-a for a in g] for g in orbit])
-    assert len(calls) == reps
+    assert sum(rows) == reps
 
 
 def test_census_unwritable_out_is_usage_error(capsys, tmp_path):

@@ -35,6 +35,7 @@ from quartics.experiments import (
     _csv_lines,
     _csv_record,
     _expand_slab,
+    _family_member,
     _is_irreducible,
     _lookup,
     _orbit_slabs,
@@ -162,17 +163,32 @@ def test_orbit_slab_counts():
 
 
 def test_family_counts_by_radius_scan_once(monkeypatch):
-    # one scan of 3B decides each Disc = 0 orbit once and counts every r <= 3
+    # one scan of 3B sends each Disc = 0 orbit once to the batch classifier
+    # and counts every r <= 3
     reps = np.array(sorted(_brute_orbits(3, negate=True)), dtype=np.int64)
     i, j = invariants_raw(tuple(reps.T))
-    calls = []
+    rows = []
     monkeypatch.setattr(
-        experiments, "in_family_X", lambda f: calls.append(f) or in_family_X(f)
+        experiments,
+        "_family_member",
+        lambda cols, i, j: rows.append(len(i)) or _family_member(cols, i, j),
     )
     counts = family_counts_by_radius(3)
-    assert len(calls) == int(np.count_nonzero(4 * i**3 == j * j))
+    assert sum(rows) == int(np.count_nonzero(4 * i**3 == j * j))
     assert counts[0] == 1  # the zero form
     assert counts[1:] == [len(family_x_forms_in_box(r)) for r in (1, 2, 3)]
+
+
+def test_family_member_matches_scalar():
+    # the batch classifier against in_family_X on every Disc = 0 row of 4B
+    box = box_coeff_array(4)
+    i, j = invariants_raw(tuple(box.T))
+    disc0 = 4 * i**3 == j * j
+    rows = box[disc0]
+    member = _family_member(tuple(rows.T), i[disc0], j[disc0])
+    expected = [in_family_X(QuarticForm(*f)) for f in rows.tolist()]
+    assert member.tolist() == expected
+    assert 0 < sum(expected) < len(expected)  # both sides of the rule occur
 
 
 def test_family_box_contains_zero_once():

@@ -31,6 +31,7 @@ from quartics.vectorized import (
     count_xf_batch,
     inv_array,
     oracle_n_batch,
+    proportional,
     scheme_counts_batch,
     singular_coeff_array,
     singular_proj_array,
@@ -49,7 +50,7 @@ def test_all_forms_enumeration():
 
 
 def test_singular_sets():
-    for p in (5, 7, 11):
+    for p in (5, 7, 11, 13):
         sing = singular_coeff_array(p)
         assert len(sing) == p**4 + p**3 - p**2
         i, j = invariants_raw(tuple(sing.T))
@@ -62,6 +63,26 @@ def test_singular_sets():
         reps = singular_proj_array(p)
         assert len(reps) == p**3 + 2 * p**2 + p + 1
         assert set(map(tuple, reps)) == set(singular_proj_reps(p))
+
+
+def test_singular_sets_are_read_only():
+    # the cached arrays are shared by every later oracle call
+    for arr in (singular_coeff_array(5), singular_proj_array(5)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 1
+
+
+@pytest.mark.parametrize(
+    "wrong",
+    [
+        lambda c: (0 * c[1], 0 * c[1]),  # every form singular: too many rows
+        lambda c: (1 + 0 * c[1], 0 * c[1]),  # none singular: too few
+    ],
+)
+def test_singular_set_checks_its_size(monkeypatch, wrong):
+    monkeypatch.setattr(vectorized, "invariants_raw", wrong)
+    with pytest.raises(RuntimeError, match="singular count"):
+        singular_coeff_array.__wrapped__(5)  # past the cache
 
 
 def test_chi_and_inv_tables():
@@ -85,6 +106,19 @@ def test_trace_table():
                     continue
                 assert t[i, j] == p + 1 - eprime_count(p, i, j)
                 assert t[i, j] ** 2 <= 4 * p
+
+
+def test_proportional_reads_every_minor():
+    # f = e_a, g = e_b: the minor (a, b) is the only one that is nonzero
+    eye = np.eye(5, dtype=np.int64)
+    pairs = [(a, b) for a in range(5) for b in range(a + 1, 5)]
+    f = eye[[a for a, _ in pairs]].T
+    g = eye[[b for _, b in pairs]].T
+    assert not proportional(f, g).any()
+    assert not proportional(f, g, 7).any()
+    assert proportional(f, 3 * f).all()
+    assert proportional(f, 3 * f + 7 * g, 7).all()
+    assert proportional(f, 0 * g).all()  # a zero row is proportional to every row
 
 
 @pytest.mark.parametrize("p", [5, 7])
