@@ -206,13 +206,15 @@ def cmd_box_sum(ns) -> int:
 def cmd_singular_count(ns) -> int:
     if ns.rmax < 1:
         return _usage_error("singular-count", "--rmax must be at least 1")
-    # one exhaustive scan of the largest box serves every r in it
+    # one exhaustive scan and one enumeration of the largest box serve
+    # every r in it, counted cumulatively by max |a_i|
     exhaustive = experiments.family_counts_by_radius(ns.rmax)
+    radii = [max(map(abs, f)) for f in experiments.family_x_forms_in_box(ns.rmax)]
+    parametrized = np.cumsum(np.bincount(radii, minlength=ns.rmax + 1)).tolist()
     rows = []
     ok = True
     for r in range(1, ns.rmax + 1):
-        _progress(f"singular-count r={r}")
-        b = experiments.singular_lattice_count(r, method="b")
+        b = parametrized[r]
         rows.append(
             {"r": r, "parametrized": b, "ratio_r2": b / (r * r), "exhaustive": exhaustive[r]}
         )

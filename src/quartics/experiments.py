@@ -7,7 +7,10 @@ only then become Fractions.  Every sweep of a coefficient box runs over
 orbit representatives, one slab of fixed a0 at a time (_orbit_slabs), and
 counts each with its orbit size: x <-> y and y -> -y fix every census
 field, and together with f -> -f they fix n mod p and family membership,
-which box sums and singular counts read.  The census engine sweeps its
+which box sums and singular counts read.  Both decide family membership
+by one batch rule on the Disc = 0 rows, I = J = 0 or He_f || f
+(_family_member); the parametrized enumeration family_x_forms_in_box is
+its independent cross-check.  The census engine sweeps its
 representatives twice.  Disc depends on (I, J) alone, so the first pass
 collects the box's distinct (I, J) pairs as int64 keys and factors each
 distinct |Disc| once, by batched trial division over the primes up to
@@ -39,7 +42,7 @@ from .forms import (
     is_R_soluble,
 )
 from .elliptic import S_MODULUS
-from .intfactor import FactorResult, factorize, primes_below
+from .intfactor import factorize, primes_below
 from .vectorized import Case, chi_array, closed_n_batch, proportional
 
 __all__ = [
@@ -49,8 +52,6 @@ __all__ = [
     "singular_lattice_count",
     "family_counts_by_radius",
     "family_x_forms_in_box",
-    "OmegaResult",
-    "omega_and_squarefree",
     "CensusRow",
     "census",
     "census_rows",
@@ -93,17 +94,20 @@ def box_sum(Q: int, r: int) -> BoxSumResult:
     runs over the 8-fold orbit representatives of the box
     (_orbit_slabs), each weighted by its orbit size; the zero form, its
     own orbit, is dropped.  Their integer invariants I and J are
-    computed once.  For each prime p > 3 dividing some q, closed_n_batch
-    reduces them mod p and returns |n| on the representatives, together
-    with each one's case; the family is a union of orbits, so its
-    representatives' cases are all the in-family sub-sums need of p.  The
-    |n| vector is kept only for a prime that shares a modulus with another
-    prime > 3, where the product needs it; every other prime keeps its
-    weighted sum and its family representatives.  The inner sum for a
-    fixed q is an integer once scaled by q'^5 (q' = q with the 2- and
-    3-parts removed), so the double sum is a short exact Fraction
-    aggregation.  Its integer numerators are int64 dot products; each is
-    checked first against max |n| per prime and the total weight, and a
+    computed once.  The family rows are the Disc = 0 representatives that
+    _family_member keeps (I = J = 0 or He_f || f), the rule
+    family_counts_by_radius scans with.  For each prime p > 3 dividing
+    some q, closed_n_batch reduces the representatives mod p and returns
+    |n| on them, together with each one's case; the family rows' |n| and
+    cases are all the in-family sub-sums need of p.  The |n| vector is
+    kept only for a prime that shares a modulus with another prime > 3,
+    where the product needs it; every other prime keeps its weighted sum
+    and its family rows.  The inner sum for a fixed q is an integer once
+    scaled by q'^5 (q' = q with the 2- and 3-parts removed), so the double
+    sum is a short exact Fraction aggregation, formed for the total and
+    both family sub-sums in one loop over q.  Its integer numerators are
+    int64 dot products; each is checked first against max |n| per prime
+    and the total weight, which bounds the family sub-sums too, and a
     bound beyond int64 raises ValueError.
     """
     if r < 1:
@@ -117,20 +121,17 @@ def box_sum(Q: int, r: int) -> BoxSumResult:
     del slabs
     nonzero = reps.any(axis=1)
     reps, w = reps[nonzero], w[nonzero]
-    ij = invariants_raw(tuple(reps.T))
-
-    fam_idx = _family_rows(r)
-    fam = np.flatnonzero(np.isin(_box_index(reps.T, r), fam_idx))
+    i, j = ij = invariants_raw(tuple(reps.T))
+    cand = np.flatnonzero(4 * i**3 == j * j)  # Disc = 0
+    fam = cand[_family_member(tuple(reps[cand].T), i[cand], j[cand])]
     fam_w = w[fam]
-    if int(fam_w.sum()) != len(fam_idx):
-        raise RuntimeError(f"the family rows of {r}B are not a union of orbits")
     q_parts = {q: sorted(p for p in factorize(q).factors if p > 3) for q in qs}
     shared = {p for ps in q_parts.values() if len(ps) > 1 for p in ps}
     absn: dict[int, np.ndarray] = {}  # |n| on the representatives, primes in shared
     nmax: dict[int, int] = {}  # max |n|, for the int64 headroom checks
     sums: dict[int, int] = {}  # |n| summed over the nonzero rows
-    fam_n: dict[int, np.ndarray] = {}  # |n| on the family representatives
-    stays: dict[int, np.ndarray] = {}
+    fam_n: dict[int, np.ndarray] = {}  # |n| on the family rows
+    stays: dict[int, np.ndarray] = {}  # family rows still in family X mod p
     cases = np.empty(len(reps), dtype=np.int8)
     wsum = int(w.sum())
     for q in qs:
@@ -146,28 +147,28 @@ def box_sum(Q: int, r: int) -> BoxSumResult:
                 if p in shared:
                     absn[p] = n
 
-    total = Fraction(0)
+    total = in_x = in_x_q5_one = Fraction(0)
     for q in qs:
-        ps = q_parts[q]
-        if not ps:
-            total += Fraction((2 * r + 1) ** 5 - 1)
-            continue
+        ps = q_parts[q]  # none: every nonzero row counts 1
         if len(ps) == 1:
             num = sums[ps[0]]
         else:
             # bounds every partial product too, as wsum >= 1
             _check_int64(wsum * prod(nmax[p] for p in ps), f"the |n| product sum at q = {q}")
-            vec = absn[ps[0]]
-            for p in ps[1:]:
+            vec = w
+            for p in ps:
                 vec = vec * absn[p]
-            num = int(vec @ w)
-        den = 1
+            num = int(vec.sum())
+        fam_nums = fam_w
+        keep = np.ones(len(fam_w), dtype=bool)
         for p in ps:
-            den *= p
-        total += Fraction(num, den**5)
+            fam_nums = fam_nums * fam_n[p]
+            keep &= stays[p]
+        den = prod(ps) ** 5
+        total += Fraction(num, den)
+        in_x += Fraction(int(fam_nums.sum()), den)
+        in_x_q5_one += Fraction(int(fam_nums[keep].sum()), den)
 
-    # sums of a subset of the same products: the checks above cover them
-    in_x, in_x_q5_one = _in_x_subsums(qs, q_parts, fam_w, fam_n, stays)
     bound = r * r / Q + r**4 / Q**2 + r**5 / Q**2.5
     return BoxSumResult(Q, r, total, bound, in_x, in_x_q5_one)
 
@@ -179,45 +180,6 @@ def _check_int64(bound: int, what: str) -> None:
     """Raise unless a bound on an int64 result fits: numpy wraps silently."""
     if bound > _INT64_MAX:
         raise ValueError(f"{what} may exceed int64 (bound {bound})")
-
-
-def _family_rows(r: int) -> np.ndarray:
-    """Row indices in box_coeff_array(r) of the nonzero integral forms of
-    the singular family."""
-    xs = sorted(family_x_forms_in_box(r) - {(0, 0, 0, 0, 0)})
-    return _box_index(np.array(xs, dtype=np.int64).reshape(-1, 5).T, r)
-
-
-def _in_x_subsums(qs, q_parts, fam_w, fam_n, stays):
-    """Diagnostic split of the box sum over its family rows: their whole
-    contribution, and the part from the rows whose reduction mod every
-    prime p > 3 of q stays in family X, read from closed_n_batch's case
-    codes.  The family is a union of orbits: fam_w holds the orbit size of
-    each family representative, and fam_n[p] and stays[p] its |n| and
-    that flag."""
-    n_fam = int(fam_w.sum())
-    if not n_fam:
-        return Fraction(0), Fraction(0)
-    tot = Fraction(0)
-    tot_q5 = Fraction(0)
-    for q in qs:
-        ps = q_parts[q]
-        if not ps:
-            tot += Fraction(n_fam)
-            tot_q5 += Fraction(n_fam)
-            continue
-        den = 1
-        for p in ps:
-            den *= p
-        den = den**5
-        nums = fam_w
-        keep = np.ones(len(fam_w), dtype=bool)
-        for p in ps:
-            nums = nums * fam_n[p]
-            keep &= stays[p]
-        tot += Fraction(int(nums.sum()), den)
-        tot_q5 += Fraction(int(nums[keep].sum()), den)
-    return tot, tot_q5
 
 
 # ---------------------------------------------------------------------------
@@ -318,29 +280,6 @@ def singular_lattice_count(r: int, method: str = "both") -> int:
 
 
 # ---------------------------------------------------------------------------
-# Prime-factor counting
-
-
-@dataclass(frozen=True)
-class OmegaResult:
-    omega: int  # prime factors with multiplicity (of the factored part)
-    squarefree: bool
-    complete: bool
-
-
-def omega_and_squarefree(n: int, trial_bound: int = 10**6) -> OmegaResult:
-    """Omega(n) and squarefreeness of a nonzero integer, sign ignored.
-
-    A composite cofactor beyond trial_bound^2 yields an explicit
-    incomplete result instead of a guess.
-    """
-    if n == 0:
-        raise ValueError("n must be nonzero")
-    res: FactorResult = factorize(n, trial_bound=trial_bound)
-    return OmegaResult(res.omega, res.squarefree and res.complete, res.complete)
-
-
-# ---------------------------------------------------------------------------
 # Census
 
 
@@ -426,7 +365,7 @@ def _is_irreducible(f: QuarticForm) -> bool:
     return len(factors) == 1 and factors[0][1] == 1 and len(factors[0][0]) == 5
 
 
-def census_row(f: QuarticForm, trial_bound: int = 10**6) -> CensusRow:
+def census_row(f: QuarticForm) -> CensusRow:
     """Full per-form census record (exact, scalar path)."""
     i, j, disc = invariants(f)
     in_s = _is_in_s(f.coeffs)
@@ -438,8 +377,8 @@ def census_row(f: QuarticForm, trial_bound: int = 10**6) -> CensusRow:
     if dprime == 0:
         om, sq, complete = None, False, True
     else:
-        o = omega_and_squarefree(dprime, trial_bound=trial_bound)
-        om, sq, complete = o.omega, o.squarefree, o.complete
+        res = factorize(dprime)
+        om, sq, complete = res.omega, res.squarefree and res.complete, res.complete
     return CensusRow(
         coeffs=f.coeffs,
         i=i,
@@ -455,40 +394,20 @@ def census_row(f: QuarticForm, trial_bound: int = 10**6) -> CensusRow:
     )
 
 
-def census_s_rows(coeff_bound: int, trial_bound: int = 10**6) -> list[CensusRow]:
+def census_s_rows(coeff_bound: int) -> list[CensusRow]:
     """Rows of the S-congruence sublattice inside the coefficient box
     (coordinates are +- 110592-translates of the anchor form)."""
     b = coeff_bound
     choices = [range(-b + (c0 + b) % S_MODULUS, b + 1, S_MODULUS) for c0 in F0.coeffs]
-    return [
-        census_row(QuarticForm.from_coeffs(c), trial_bound) for c in product(*choices)
-    ]
+    return [census_row(QuarticForm.from_coeffs(c)) for c in product(*choices)]
 
 
-def census_rows(
-    coeff_bound: int,
-    height_bound: int | None = None,
-    require_s: bool = False,
-    trial_bound: int = 10**6,
-) -> list[CensusRow]:
+def census_rows(coeff_bound: int) -> list[CensusRow]:
     """Every census row of the box, scalar exact path (small boxes only)."""
-    if require_s:
-        rows = census_s_rows(coeff_bound, trial_bound)
-    else:
-        if coeff_bound > 8:  # 17^5 = 1.4M rows
-            raise ValueError("box too large for the exhaustive row dump")
-        rng = range(-coeff_bound, coeff_bound + 1)
-        rows = [
-            census_row(QuarticForm(a0, a1, a2, a3, a4), trial_bound)
-            for a0 in rng
-            for a1 in rng
-            for a2 in rng
-            for a3 in rng
-            for a4 in rng
-        ]
-    if height_bound is not None:
-        rows = [r for r in rows if r.height < height_bound]
-    return rows
+    if coeff_bound > 8:  # 17^5 = 1.4M rows
+        raise ValueError("box too large for the exhaustive row dump")
+    rng = range(-coeff_bound, coeff_bound + 1)
+    return [census_row(QuarticForm(*c)) for c in product(rng, repeat=5)]
 
 
 def write_census_csv(rows, path) -> None:

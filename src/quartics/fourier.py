@@ -10,8 +10,8 @@ n = p^5 * Phi_hat_p(f) exactly.  Two independent evaluation routes:
 
 * oracle_fourier sums over the singular set directly.  The singular set is
   a cone, so the nonzero fibers of w -> [w, f] are equinumerous and the
-  sum collapses to N0 - (N - N0)/(p - 1); the fiber vector is recomputed
-  and checked on every call in debug mode.
+  sum collapses to N0 - (N - N0)/(p - 1); the full fiber vector is
+  computed and checked on every call.
 
 * closed_fourier dispatches on the invariants and splitting type of f:
 
@@ -85,17 +85,15 @@ def _as_modp_coeffs(f, p: int):
     return tuple(v % p for v in c)
 
 
-def oracle_fourier(p: int, f, check_fibers: bool = True) -> FourierValue:
+def oracle_fourier(p: int, f) -> FourierValue:
     """Exact n = p^5 * Phi_hat_p(f) from the fibers of w -> [w, f] over the
-    singular set (precomputed once per p and cached).
-
-    check_fibers keeps the full fiber-constancy verification on; with it
-    off only the implied divisibility (p-1) | (N - N0) is asserted.
+    singular set (precomputed once per p and cached), every fiber computed
+    and the nonzero ones checked equal (oracle_n_batch).
     """
     check_prime(p, min_exclusive=3)
     c = _as_modp_coeffs(f, p)
     arr = np.array([c], dtype=np.int64)
-    n = int(oracle_n_batch(p, arr, check_fibers=check_fibers)[0])
+    n = int(oracle_n_batch(p, arr)[0])
     return FourierValue(n, p)
 
 

@@ -286,37 +286,26 @@ def count_xf_batch(p: int, forms: np.ndarray) -> np.ndarray:
     return _zero_pairings(p, singular_proj_array(p), forms)
 
 
-def oracle_n_batch(p: int, forms: np.ndarray, check_fibers: bool = True) -> np.ndarray:
+def oracle_n_batch(p: int, forms: np.ndarray) -> np.ndarray:
     """n = N0 - (N - N0)/(p - 1) where N0 = #{singular w : [w, f] = 0}.
 
-    With check_fibers the full fiber vector of w -> 12[w, f] over the
-    entire singular set is computed and all nonzero fibers are required to
-    coincide (the cone property that makes the transform rational) -- the
-    debug oracle of record.  The fibres come from the pairing table when
-    _table_rows takes it, else from _fibre_product.  The fast path
-    evaluates N0 through the cone decomposition {0} u F_p^x * X(F_p) as
-    1 + (p-1) #X^f (the scalar partition of the singular set is verified
-    by cardinality), and still asserts the implied divisibility
-    (p-1) | (N - N0).
+    Every call computes the full fibre vector of w -> 12[w, f] over the
+    entire singular set, from the pairing table when _table_rows takes it,
+    else from _fibre_product, and requires all nonzero fibres to coincide
+    (the cone property that makes the transform rational) and (p-1) to
+    divide N - N0.
     """
     check_prime(p, min_exclusive=3)
     sing = singular_coeff_array(p)
-    n_sing = len(sing)
     forms = np.asarray(forms, dtype=np.int64) % p
-    if check_fibers:
-        fibres = _table_rows(p, sing, forms)
-        if fibres is None:
-            fibres = _fibre_product(p, sing, forms)
-        n0 = fibres[:, 0]
-        nonzero = fibres[:, 1:]
-        if np.any(nonzero.max(axis=1) != nonzero.min(axis=1)):
-            raise RuntimeError("nonzero fibers differ: cone property violated")
-    else:
-        reps = singular_proj_array(p)
-        if n_sing != 1 + (p - 1) * len(reps):
-            raise RuntimeError("singular cone does not partition into scalar lines")
-        n0 = 1 + (p - 1) * count_xf_batch(p, forms)
-    rest = n_sing - n0
+    fibres = _table_rows(p, sing, forms)
+    if fibres is None:
+        fibres = _fibre_product(p, sing, forms)
+    n0 = fibres[:, 0]
+    nonzero = fibres[:, 1:]
+    if np.any(nonzero.max(axis=1) != nonzero.min(axis=1)):
+        raise RuntimeError("nonzero fibers differ: cone property violated")
+    rest = len(sing) - n0
     if np.any(rest % (p - 1)):
         raise RuntimeError("(p-1) does not divide the off-kernel fiber mass")
     return n0 - rest // (p - 1)

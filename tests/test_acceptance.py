@@ -56,7 +56,7 @@ def test_c01_theorem_exhaustive_small_primes():
     the closed formula."""
     for p in (5, 7):
         forms = all_forms_array(p)
-        oracle = oracle_n_batch(p, forms, check_fibers=True)
+        oracle = oracle_n_batch(p, forms)
         closed = _closed_batch_scalar(p, forms)
         assert np.array_equal(oracle, closed), f"mismatch at p={p}"
     print("ACCEPTANCE 01 theorem exhaustive p in {5,7}: PASS")
@@ -67,7 +67,7 @@ def test_c02_theorem_sampled_larger_primes():
     for p in (11, 13, 17, 19, 23):
         rng = np.random.default_rng([1, p])
         forms = rng.integers(0, p, size=(200, 5), dtype=np.int64)
-        oracle = oracle_n_batch(p, forms, check_fibers=True)
+        oracle = oracle_n_batch(p, forms)
         closed = _closed_batch_scalar(p, forms)
         assert np.array_equal(oracle, closed), f"mismatch at p={p}"
     print("ACCEPTANCE 02 theorem sampled p in {11..23}, 200 forms each: PASS")
@@ -80,7 +80,7 @@ def test_c03_assembly_identity():
         forms = all_forms_array(p)
         nz = np.any(forms, axis=1)
         forms = forms[nz]
-        oracle = oracle_n_batch(p, forms, check_fibers=(p <= 7))
+        oracle = oracle_n_batch(p, forms)
         x122, x22, x1212 = scheme_counts_batch(p, forms)
         assembled = p * (x122 + x22 - x1212 - (p + 1) ** 2)
         assert np.array_equal(oracle, assembled), f"assembly fails at p={p}"
@@ -191,7 +191,7 @@ def test_c08_bound_classes():
     and p in {5,7,11}; Hasse bound asserted throughout every trace."""
     for p in (5, 7, 11):
         forms = all_forms_array(p)
-        ns = oracle_n_batch(p, forms, check_fibers=False)
+        ns = oracle_n_batch(p, forms)
         for k in range(len(forms)):
             c = tuple(int(v) for v in forms[k])
             cls = bound_class(p, c)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -312,6 +313,46 @@ def test_singular_count_scans_each_box_once(capsys, monkeypatch):
             orbit = [f, [a4, a3, a2, a1, a0], [a0, -a1, a2, -a3, a4], [a4, -a3, a2, -a1, a0]]
             reps += f == min(orbit + [[-a for a in g] for g in orbit])
     assert sum(rows) == reps
+
+
+# sha256 of the stdout of three bench commands: a change to the engines
+# behind them must keep these bytes
+PINNED_ARGV = {
+    "box-sum": ["box-sum", "--q", "80", "--r", "6"],
+    "singular-count": ["singular-count", "--rmax", "6"],
+    "verify-theorem": [
+        "verify-theorem", "--exhaustive-pmax", "7", "--sampled-pmax", "19",
+        "--samples", "200", "--seed", "1",
+    ],
+}
+PINNED_STDOUT = {
+    "box-sum": "afe3de4a2dd09a2d52d28a8c898299bdf27ee003796d71eaa5d8f1f532a44395",
+    "singular-count": "0601c1abfd926a3c7c1d0880f2dc766faaedf84f2741ae941bb20f4f9346b5da",
+    "verify-theorem": "ad87baee84eab64a246b1355ce329a979fe617d33e912f4514bdb864fff0e588",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_ARGV))
+def test_bench_stdout_is_pinned(command, capsys):
+    code, out, _ = run_cli(PINNED_ARGV[command], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command]
+
+
+def test_singular_count_enumerates_the_family_once(capsys, monkeypatch):
+    # one enumeration of the largest box, counted by max |a_i|, serves
+    # every r; the output stays the pinned one
+    enumerate_family = experiments.family_x_forms_in_box
+    calls = []
+    monkeypatch.setattr(
+        experiments,
+        "family_x_forms_in_box",
+        lambda r: calls.append(r) or enumerate_family(r),
+    )
+    code, out, _ = run_cli(PINNED_ARGV["singular-count"], capsys)
+    assert code == 0
+    assert calls == [6]
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT["singular-count"]
 
 
 def test_census_unwritable_out_is_usage_error(capsys, tmp_path):

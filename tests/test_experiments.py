@@ -19,7 +19,6 @@ from quartics.experiments import (
     census_s_rows,
     family_counts_by_radius,
     family_x_forms_in_box,
-    omega_and_squarefree,
     singular_lattice_count,
     write_census_csv,
 )
@@ -48,20 +47,9 @@ from quartics.forms import (
     invariants_raw,
     is_R_soluble,
 )
+from quartics.fourier import BoundClass, bound_class, fourier_q
 from quartics.intfactor import factorize, is_prime, primes_below
 from quartics.vectorized import _case_tables, box_coeff_array, closed_n_batch
-
-
-def test_omega_examples():
-    assert omega_and_squarefree(-91) == type(omega_and_squarefree(-91))(2, True, True)
-    r = omega_and_squarefree(12)
-    assert (r.omega, r.squarefree) == (3, False)
-    r = omega_and_squarefree(1)
-    assert (r.omega, r.squarefree) == (0, True)
-    with pytest.raises(ValueError):
-        omega_and_squarefree(0)
-    incomplete = omega_and_squarefree(1000003 * 1000033, trial_bound=1000)
-    assert not incomplete.complete and not incomplete.squarefree
 
 
 # the largest |Disc| that _check_headroom admits at the engine guard
@@ -254,6 +242,27 @@ def test_box_sum_golden_shared_primes():
     )
 
 
+def test_box_sum_family_subsums_match_enumeration():
+    # box_sum takes its family rows from _family_member; the scalar sums
+    # over the parametrized enumeration give the same two sub-sums.  Q = 20
+    # holds q = 35, where the family products of 5 and 7 are formed
+    Q, r = 20, 3
+    res = box_sum(Q, r)
+    forms = family_x_forms_in_box(r) - {(0, 0, 0, 0, 0)}
+    in_x = in_x_q5_one = Fraction(0)
+    for q in range(Q, 2 * Q + 1):
+        if not factorize(q).squarefree:
+            continue
+        ps = [p for p in factorize(q).factors if p > 3]
+        for f in forms:
+            v = abs(fourier_q(q, f))
+            in_x += v
+            if all(bound_class(p, f) is not BoundClass.GENERIC for p in ps):
+                in_x_q5_one += v
+    assert res.in_x_exact == in_x
+    assert res.in_x_q5_one == in_x_q5_one
+
+
 def _box_sum_18_5_bounds():
     """The int64 bounds box_sum(18, 5) checks, from max |n| over the whole
     box: prod_{p | q, p > 3} max |n_p| times the 161,050 nonzero forms,
@@ -296,6 +305,14 @@ def test_census_row_f0():
     assert row.r_soluble  # f0(2, -1) = 256 > 0
     assert row.height == 452984832
     assert row.disc == -91 * 2**20
+
+
+def test_census_row_incomplete_factoring_is_not_squarefree(monkeypatch):
+    # Disc(F0)/2^20 = -91: with trial division by 2 alone, 91 is an
+    # unfactored composite, and the row must not read as squarefree
+    monkeypatch.setattr(experiments, "factorize", lambda n: factorize(n, trial_bound=2))
+    row = census_row(F0)
+    assert not row.omega_complete and not row.squarefree
 
 
 def test_census_s_slice():
@@ -520,8 +537,6 @@ def test_census_height_filter():
     capped = census(2, height_bound=1000)
     assert capped["candidates"] <= full["candidates"]
     assert capped["passing_all"] <= full["passing_all"]
-    rows = census_rows(2, height_bound=1000)
-    assert all(r.height < 1000 for r in rows)
 
 
 def test_census_subset_property():

@@ -158,18 +158,6 @@ def test_bound_class_numeric():
     assert not BoundClass.GENERIC.n_bound_holds(2 * 12 + 5 + 1, 5)  # > 2 p^1.5 + p
 
 
-def test_oracle_fiber_check_modes():
-    # fast and debug paths agree
-    rng = random.Random(11)
-    for p in (5, 7, 11):
-        for _ in range(10):
-            c = tuple(rng.randrange(p) for _ in range(5))
-            assert (
-                oracle_fourier(p, c, check_fibers=True).n
-                == oracle_fourier(p, c, check_fibers=False).n
-            )
-
-
 def test_mismatched_modulus_rejected():
     with pytest.raises(ValueError):
         oracle_fourier(5, QuarticForm(1, 0, 0, 0, 0, p=7))

@@ -138,12 +138,20 @@ def test_closed_batch_sampled(p):
         assert batch[k] == closed_n(p, tuple(int(v) for v in forms[k]))
 
 
-@pytest.mark.parametrize("p", [5, 7])
-def test_oracle_batch_modes_agree(p):
-    forms = all_forms_array(p)
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_oracle_cone_identity(p):
+    # the singular set S is {0} u F_p^x X(F_p), so N0 = 1 + (p-1) #X^f and
+    # the oracle's n = N0 - (|S| - N0)/(p-1) gives
+    # (p-1) n + |S| = p (1 + (p-1) #X^f): the full fibres against the
+    # projective representatives' zero pairings
+    if p <= 7:
+        forms = all_forms_array(p)
+    else:
+        forms = np.random.default_rng(p).integers(0, p, size=(200, 5), dtype=np.int64)
+    size = p**4 + p**3 - p**2
+    xf = count_xf_batch(p, forms)
     assert np.array_equal(
-        oracle_n_batch(p, forms, check_fibers=True),
-        oracle_n_batch(p, forms, check_fibers=False),
+        (p - 1) * oracle_n_batch(p, forms) + size, p * (1 + (p - 1) * xf)
     )
 
 
@@ -168,7 +176,7 @@ def test_oracle_fibre_check_rejects_a_nonsingular_row(monkeypatch):
     for forms, tables in ((all_forms_array(p), [p]), (all_forms_array(p)[:500], [])):
         built.clear()
         with pytest.raises(RuntimeError, match="cone property"):
-            oracle_n_batch(p, forms, check_fibers=True)
+            oracle_n_batch(p, forms)
         assert built == tables
 
 
