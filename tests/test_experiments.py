@@ -52,6 +52,23 @@ from quartics.intfactor import factorize, is_prime, primes_below
 from quartics.vectorized import _case_tables, box_coeff_array, closed_n_batch
 
 
+def test_omega_examples():
+    # the census reads Omega and squarefreeness of |Disc| from factorize (sign
+    # ignored) and, in batch, from _batch_omega_squarefree
+    r = factorize(-91)
+    assert (r.omega, r.squarefree, r.complete) == (2, True, True)
+    r = factorize(12)
+    assert (r.omega, r.squarefree) == (3, False)
+    r = factorize(1)
+    assert (r.omega, r.squarefree, r.complete) == (0, True, True)
+    with pytest.raises(ValueError):
+        factorize(0)
+    incomplete = factorize(1000003 * 1000033, trial_bound=1000)
+    assert not incomplete.complete
+    om, sq = _batch_omega_squarefree(np.array([91, 12, 1], dtype=np.int64))
+    assert om.tolist() == [2, 3, 0] and sq.tolist() == [True, False, True]
+
+
 # the largest |Disc| that _check_headroom admits at the engine guard
 _DISC_CEILING = (4 * (16 * _CENSUS_GUARD**2) ** 3 + (137 * _CENSUS_GUARD**3) ** 2) // 27
 

@@ -161,10 +161,6 @@ def test_factorize():
     assert r.factors == {7: 1, 13: 1} and r.complete and r.squarefree
     r = factorize(12)
     assert r.omega == 3 and not r.squarefree
-    r = factorize(1)
-    assert r.omega == 0 and r.squarefree and r.complete
-    with pytest.raises(ValueError):
-        factorize(0)
     big = 1000003 * 1000033
     r = factorize(big, trial_bound=1000)
     assert not r.complete and r.cofactor == big
