@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import experiments
-from .elliptic import e_prime_of, jacobian_model, point_count, two_two_from_quartic
+from .elliptic import jacobian_model, point_count, two_two_from_quartic
 from .ffarith import check_prime
 from .forms import QuarticForm, format_form, invariants_mod, parse_form
 from .fourier import closed_n, oracle_fourier
@@ -27,7 +27,13 @@ from .schemes import (
     count_X1212,
     count_X22,
 )
-from .vectorized import all_forms_array, closed_n_batch, oracle_n_batch, x1212_batch
+from .vectorized import (
+    all_forms_array,
+    closed_n_batch,
+    oracle_n_batch,
+    trace_table,
+    x1212_batch,
+)
 
 
 def _emit(payload: dict) -> None:
@@ -256,16 +262,18 @@ def cmd_jacobian_check(ns) -> int:
     mismatches = []
     for p in primes:
         rng = np.random.default_rng([ns.seed, p])
-        forms = []
+        forms, ij = [], []
         while len(forms) < ns.samples:
             c = tuple(int(v) for v in rng.integers(0, p, size=5))
             i, j, d = invariants_mod(c, p)
             if j != 0 and d != 0:
                 forms.append(c)
+                ij.append((i, j))
         x1212 = x1212_batch(p, np.array(forms, dtype=np.int64))
-        for c, n_scheme in zip(forms, x1212.tolist()):
+        # #E'_f(F_p) = p + 1 - a_p(E'_f), one gather from the trace table
+        e_prime = p + 1 - trace_table(p)[tuple(np.array(ij).T)]
+        for c, n_curve, n_scheme in zip(forms, e_prime.tolist(), x1212.tolist()):
             f = QuarticForm.from_coeffs(c, p=p)
-            n_curve = point_count(e_prime_of(f))
             n_jac = point_count(jacobian_model(two_two_from_quartic(f)))
             if not (n_curve == n_jac == n_scheme):
                 mismatches.append(

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .ffarith import check_prime, inv_mod
-from .forms import QuarticForm, form_product, height_raw, invariants, invariants_raw
+from .forms import QuarticForm, disc27, form_product, height_raw, invariants, invariants_raw
 from .intfactor import primes_below
 from .vectorized import chi_array
 
@@ -128,9 +128,6 @@ class TwoTwoForm:
     p: int | None = None
     scaled12: bool = False
 
-    def q(self, i: int) -> tuple[int, int, int]:
-        return self.rows[i]
-
     def value(self, s0, s1, t0, t1):
         """c(s0, s1; t0, t1); divide by 12 externally when scaled12."""
         acc = 0
@@ -201,14 +198,13 @@ def jacobian_model(c: TwoTwoForm) -> WeierstrassCurve:
     i, j = invariants_raw(hq)
     if c.p is not None:
         p = check_prime(c.p, min_exclusive=3)
-        disc_h = (4 * pow(i % p, 3, p) - j * j) * inv_mod(27, p) % p
-        if disc_h == 0:
+        if disc27(i % p, j % p) % p == 0:
             raise ValueError("degenerate (2,2)-form: Disc(H_c) = 0 mod p")
         d2, d3, d4 = delta_invariants(c)
         return WeierstrassCurve(
             216 * d3 % p, 9 * d2 % p, 27 * (d2 * d2 - d4) % p, 0, p=p
         )
-    if 4 * i**3 - j * j == 0:
+    if disc27(i, j) == 0:
         raise ValueError("degenerate (2,2)-form: Disc(H_c) = 0")
     d2, d3, d4 = delta_invariants(c)
     cy, g2, g1 = 216 * d3, 9 * d2, 27 * (d2 * d2 - d4)

@@ -11,15 +11,15 @@ which box sums and singular counts read.  Both decide family membership
 by one batch rule on the Disc = 0 rows, I = J = 0 or He_f || f
 (_family_member); the parametrized enumeration family_x_forms_in_box is
 its independent cross-check.  The census engine sweeps its
-representatives twice.  Disc depends on (I, J) alone, so the first pass
-collects the box's distinct (I, J) pairs as int64 keys and factors each
-distinct |Disc| once, by batched trial division over the primes up to
-isqrt(max |Disc|); the second reads each row's Omega and squarefreeness
-through its key.  Real solubility is decided by sign analysis, with the
-square locus He_f || f on Disc = 0, and irreducibility by mod-p
-certificates (no root, one root, and Stickelberger's discriminant parity)
-with one exact integer batch step, by Gauss's lemma, for the rows no
-certificate decides."""
+representatives twice.  The first pass counts the box's distinct (I, J)
+pairs as int64 keys, lists their distinct |Disc| and factors each nonzero
+one once, by batched trial division over the primes up to
+isqrt(max |Disc|); the second computes each row's |Disc| and reads its
+Omega and squarefreeness through it.  Real solubility is decided by sign
+analysis, with the square locus He_f || f on Disc = 0, and
+irreducibility by mod-p certificates (no root, one root, and
+Stickelberger's discriminant parity) with one exact integer batch step,
+by Gauss's lemma, for the rows no certificate decides."""
 
 from __future__ import annotations
 
@@ -33,6 +33,7 @@ import numpy as np
 
 from .forms import (
     QuarticForm,
+    disc27,
     factor_over_Q,
     format_form,
     height_raw,
@@ -43,7 +44,7 @@ from .forms import (
 )
 from .elliptic import S_MODULUS
 from .intfactor import factorize, primes_below
-from .vectorized import Case, chi_array, closed_n_batch, proportional
+from .vectorized import chi_array, closed_n_batch, proportional
 
 __all__ = [
     "F0",
@@ -75,7 +76,10 @@ class BoxSumResult:
     exact: Fraction
     bound: float  # r^2/Q + r^4/Q^2 + r^5/Q^(5/2)
     in_x_exact: Fraction  # sub-sum over integral f in the singular family
-    in_x_q5_one: Fraction  # its part where every p | q stays in the family
+    # its part where every p | q keeps f in family X mod p: all of it, as
+    # reduction mod p sends (ax+by)^3 (cx+dy) and t q^2 to forms of the
+    # same shape or to 0
+    in_x_q5_one: Fraction
 
     @property
     def value(self) -> float:
@@ -98,17 +102,16 @@ def box_sum(Q: int, r: int) -> BoxSumResult:
     _family_member keeps (I = J = 0 or He_f || f), the rule
     family_counts_by_radius scans with.  For each prime p > 3 dividing
     some q, closed_n_batch reduces the representatives mod p and returns
-    |n| on them, together with each one's case; the family rows' |n| and
-    cases are all the in-family sub-sums need of p.  The |n| vector is
-    kept only for a prime that shares a modulus with another prime > 3,
-    where the product needs it; every other prime keeps its weighted sum
-    and its family rows.  The inner sum for a fixed q is an integer once
-    scaled by q'^5 (q' = q with the 2- and 3-parts removed), so the double
-    sum is a short exact Fraction aggregation, formed for the total and
-    both family sub-sums in one loop over q.  Its integer numerators are
-    int64 dot products; each is checked first against max |n| per prime
-    and the total weight, which bounds the family sub-sums too, and a
-    bound beyond int64 raises ValueError.
+    |n| on them; the family rows' |n| is all the in-family sub-sum needs
+    of p.  The |n| vector is kept only for a prime that shares a modulus
+    with another prime > 3, where the product needs it; every other prime
+    keeps its weighted sum and its family rows.  The inner sum for a fixed
+    q is an integer once scaled by q'^5 (q' = q with the 2- and 3-parts
+    removed), so the double sum is a short exact Fraction aggregation,
+    formed for the total and the family sub-sum in one loop over q.  Its
+    integer numerators are int64 dot products; each is checked first
+    against max |n| per prime and the total weight, which bounds the
+    family sub-sum too, and a bound beyond int64 raises ValueError.
     """
     if r < 1:
         raise ValueError("positive half-width required")
@@ -122,7 +125,7 @@ def box_sum(Q: int, r: int) -> BoxSumResult:
     nonzero = reps.any(axis=1)
     reps, w = reps[nonzero], w[nonzero]
     i, j = ij = invariants_raw(tuple(reps.T))
-    cand = np.flatnonzero(4 * i**3 == j * j)  # Disc = 0
+    cand = np.flatnonzero(disc27(i, j) == 0)
     fam = cand[_family_member(tuple(reps[cand].T), i[cand], j[cand])]
     fam_w = w[fam]
     q_parts = {q: sorted(p for p in factorize(q).factors if p > 3) for q in qs}
@@ -131,23 +134,20 @@ def box_sum(Q: int, r: int) -> BoxSumResult:
     nmax: dict[int, int] = {}  # max |n|, for the int64 headroom checks
     sums: dict[int, int] = {}  # |n| summed over the nonzero rows
     fam_n: dict[int, np.ndarray] = {}  # |n| on the family rows
-    stays: dict[int, np.ndarray] = {}  # family rows still in family X mod p
-    cases = np.empty(len(reps), dtype=np.int8)
     wsum = int(w.sum())
     for q in qs:
         for p in q_parts[q]:
             if p not in sums:
-                n = closed_n_batch(p, reps, ij, cases)
+                n = closed_n_batch(p, reps, ij)
                 np.abs(n, out=n)
                 nmax[p] = int(n.max())
                 _check_int64(nmax[p] * wsum, f"the |n| sum at p = {p}")
                 sums[p] = int(n @ w)
                 fam_n[p] = n[fam]
-                stays[p] = cases[fam] <= Case.NONSPLIT_SQUARE
                 if p in shared:
                     absn[p] = n
 
-    total = in_x = in_x_q5_one = Fraction(0)
+    total = in_x = Fraction(0)
     for q in qs:
         ps = q_parts[q]  # none: every nonzero row counts 1
         if len(ps) == 1:
@@ -160,17 +160,14 @@ def box_sum(Q: int, r: int) -> BoxSumResult:
                 vec = vec * absn[p]
             num = int(vec.sum())
         fam_nums = fam_w
-        keep = np.ones(len(fam_w), dtype=bool)
         for p in ps:
             fam_nums = fam_nums * fam_n[p]
-            keep &= stays[p]
         den = prod(ps) ** 5
         total += Fraction(num, den)
         in_x += Fraction(int(fam_nums.sum()), den)
-        in_x_q5_one += Fraction(int(fam_nums[keep].sum()), den)
 
     bound = r * r / Q + r**4 / Q**2 + r**5 / Q**2.5
-    return BoxSumResult(Q, r, total, bound, in_x, in_x_q5_one)
+    return BoxSumResult(Q, r, total, bound, in_x, in_x)
 
 
 _INT64_MAX = (1 << 63) - 1
@@ -253,25 +250,19 @@ def family_counts_by_radius(rmax: int) -> list[int]:
     hist = np.zeros(rmax + 1, dtype=np.int64)
     for _, cols, w in _orbit_slabs(rmax, negate=True):
         i, j = invariants_raw(cols)
-        cand = np.flatnonzero(4 * i**3 == j * j)
+        cand = np.flatnonzero(disc27(i, j) == 0)
         keep = cand[_family_member(tuple(c[cand] for c in cols), i[cand], j[cand])]
         radius = np.max([np.abs(c[keep]) for c in cols], axis=0)
         np.add.at(hist, radius, w[keep])
     return np.cumsum(hist).tolist()
 
 
-def singular_lattice_count(r: int, method: str = "both") -> int:
-    """|V(Z) & rB & family|: method "a" scans the whole box exhaustively
-    (family_counts_by_radius), method "b" enumerates the two parametrizing
-    families with dedup, "both" runs and cross-checks."""
-    if method not in ("a", "b", "both"):
-        raise ValueError("method must be 'a', 'b' or 'both'")
-    count_b = len(family_x_forms_in_box(r)) if method in ("b", "both") else None
-    count_a = family_counts_by_radius(r)[r] if method in ("a", "both") else None
-    if method == "a":
-        return count_a
-    if method == "b":
-        return count_b
+def singular_lattice_count(r: int) -> int:
+    """|V(Z) & rB & family|, by the exhaustive scan of the whole box
+    (family_counts_by_radius) cross-checked against the parametrized
+    enumeration with dedup (family_x_forms_in_box)."""
+    count_a = family_counts_by_radius(r)[r]
+    count_b = len(family_x_forms_in_box(r))
     if count_a != count_b:
         raise RuntimeError(
             f"family counts disagree at r={r}: scan {count_a}, parametrized {count_b}"
@@ -337,7 +328,7 @@ def _csv_record(coeffs, i: int, j: int, omega: int | None, flags) -> list:
         *coeffs,
         i,
         j,
-        (4 * i**3 - j * j) // 27,
+        disc27(i, j) // 27,
         _decimal_str(height_raw(i, j)),
         "" if omega is None else omega,
         *("true" if b else "false" for b in flags),
@@ -429,14 +420,24 @@ _KEY_HALF = 1 << 30  # the (I, J) key packs I + 2^30 and J + 2^30 into 31 bits e
 
 def _check_headroom(coeff_bound: int) -> None:
     """Over |a_i| <= B, |I| <= 16 B^2 and |J| <= 137 B^3.  Both must fit a
-    half of the (I, J) key, and 4 I^3 - J^2 must fit int64."""
+    half of the (I, J) key, and 4 |I|^3 + J^2, which bounds disc27 and
+    each step of its buffer, must fit int64."""
     imax, jmax = 16 * coeff_bound**2, 137 * coeff_bound**3
-    if max(imax, jmax) >= _KEY_HALF or 4 * imax**3 + jmax**2 >= 1 << 63:
+    if max(imax, jmax) >= _KEY_HALF or -disc27(-imax, jmax) >= 1 << 63:
         raise ValueError(f"coefficient bound {coeff_bound} overflows int64 invariants")
 
 
 def _ij_key(i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return (i + _KEY_HALF) * (2 * _KEY_HALF) + (j + _KEY_HALF)
+
+
+def _abs_disc(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """|Disc| from int64 I and J, in disc27's one buffer: fresh temporaries
+    over every distinct (I, J) would set the census's peak RSS."""
+    d = disc27(i, j)
+    np.abs(d, out=d)
+    d //= 27
+    return d
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
@@ -451,8 +452,9 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
 
 def _lookup(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """np.searchsorted(table, queries) for a sorted table, with the queries
-    sorted first: the binary searches then walk the table in order, which
-    at B = 15 halves the time of unsorted queries."""
+    sorted first: the binary searches then walk the table in order, about
+    twice as fast as unsorted queries.  The census finds each pass-2
+    slab's |Disc| in the pass-1 table of distinct |Disc| with it."""
     order = np.argsort(queries)
     k = np.empty_like(order)
     k[order] = np.searchsorted(table, queries[order])
@@ -574,7 +576,7 @@ def _batch_soluble(cols) -> np.ndarray:
         return out
     b0, b1, b2, b3, b4 = sub = tuple(c[rest] for c in cols)
     i, j = invariants_raw(sub)
-    disc27 = 4 * i**3 - j * j  # 27 * Disc, same sign
+    d = disc27(i, j)  # 27 Disc, same sign
     # negative discriminant: two real roots; positive: four or none,
     # four exactly when P < 0 and D < 0
     P = 8 * b0 * b2 - 3 * b1 * b1
@@ -585,13 +587,12 @@ def _batch_soluble(cols) -> np.ndarray:
         - 16 * b0 * b0 * b1 * b3
         - 3 * b1**4
     )
-    has_root = (disc27 < 0) | ((disc27 > 0) & (P < 0) & (D < 0))
-    # Disc = 0; b0 != 0, so He || f means He_k b0 = b_k He_0 for every k
-    he = hessian_raw(sub)
-    definite = (disc27 == 0) & (he[0] * b0 > 0) & ((i != 0) | (j != 0))
-    for bk, hk in zip(sub[1:], he[1:]):
-        definite &= hk * b0 == bk * he[0]
-    has_root |= (disc27 == 0) & ~definite
+    has_root = (d < 0) | ((d > 0) & (P < 0) & (D < 0))
+    zero = np.flatnonzero(d == 0)
+    sz = tuple(c[zero] for c in sub)
+    he = hessian_raw(sz)
+    definite = (he[0] * sz[0] > 0) & ((i[zero] != 0) | (j[zero] != 0))
+    has_root[zero] = ~(definite & proportional(sz, he))
     out[rest] = has_root
     return out
 
@@ -624,12 +625,10 @@ def _batch_irreducible(cols, idx) -> np.ndarray:
             val = (((cc[0] * x + cc[1]) * x + cc[2]) * x + cc[3]) * x + cc[4]
             roots += val % p == 0
         i, j = (v % p for v in invariants_raw(cc))
-        disc27 = (4 * i**3 - j * j) % p
+        d = disc27(i, j) % p
         chi = chi_array(p)
         no_lin[rows] |= (roots == 0) & nonzero_modp
-        no_quad[rows] |= ((roots == 1) & (disc27 != 0)) | (
-            (roots == 0) & (chi[disc27] == -chi[3])
-        )
+        no_quad[rows] |= ((roots == 1) & (d != 0)) | ((roots == 0) & (chi[d] == -chi[3]))
         open_mask &= ~(no_lin & no_quad)
     irr = no_lin & no_quad
     rest = np.nonzero(open_mask)[0]
@@ -721,12 +720,13 @@ def census(
     Every reported quantity is invariant under x <-> y and y -> -y, so the
     engine sweeps the 4-fold orbit representatives of the box
     (_orbit_slabs), slab by slab, twice, and counts each with its orbit
-    size.  Disc = (4I^3 - J^2)/27 depends on (I, J) alone, so the first
-    pass collects the box's distinct (I, J) pairs as int64 keys, deduped by
-    sorting (_sorted_unique: a sort and a neighbour mask, never numpy's
-    hash table), and factors each distinct nonzero |Disc| once, into an
-    Omega and a squarefree flag per key.  The second pass recomputes each
-    representative's (I, J), finds its key by a binary search with the
+    size.  The first pass collects the box's distinct (I, J) pairs as int64
+    keys, deduped by sorting (_sorted_unique: a sort and a neighbour mask,
+    never numpy's hash table), only to count them and to list their
+    distinct |Disc| = |disc27(I, J)|/27; it factors each nonzero |Disc|
+    once, into an Omega and a squarefree flag per |Disc|.  The second pass
+    recomputes each representative's (I, J) and |Disc| in int64 (exact,
+    by _check_headroom), finds its |Disc| by a binary search with the
     slab's queries sorted first (_lookup), reads its Omega and flag, and
     decides solubility, the height filter and irreducibility: mod-p
     certificates, then one exact batch step for the rows they leave open,
@@ -765,36 +765,27 @@ def census(
         )
     _check_headroom(coeff_bound)
 
-    # pass 1: Omega and squarefreeness per distinct (I, J)
+    # pass 1: the distinct (I, J), then Omega and squarefreeness per
+    # distinct |Disc|
     key_chunks = [
         _sorted_unique(_ij_key(*invariants_raw(cols)))
         for _, cols, _ in _orbit_slabs(coeff_bound)
     ]
-    keys = _sorted_unique(np.concatenate(key_chunks))
+    keys = np.concatenate(key_chunks)
     del key_chunks
+    keys = _sorted_unique(keys)
+    distinct_ij = len(keys)
     i, j = np.divmod(keys, 2 * _KEY_HALF)
+    del keys
     i -= _KEY_HALF
     j -= _KEY_HALF
-    # |Disc| in one buffer: fresh temporaries over every key would set the
-    # run's peak RSS
-    d = i * i
-    d *= i
-    d *= 4
-    del i
-    j *= j
-    d -= j
-    del j
-    np.abs(d, out=d)
-    d //= 27
-    absdisc = _sorted_unique(d)
-    inverse = _lookup(absdisc, d)
-    del d
+    absdisc = _sorted_unique(_abs_disc(i, j))
+    del i, j
     nz = absdisc != 0
-    om = np.full(len(absdisc), -1, dtype=np.int8)  # -1 marks Disc = 0
-    sq = np.zeros(len(absdisc), dtype=bool)
-    om[nz], sq[nz] = _batch_omega_squarefree(absdisc[nz])
-    key_om, key_sq = om[inverse], sq[inverse]
-    del absdisc, inverse, nz, om, sq
+    disc_om = np.full(len(absdisc), -1, dtype=np.int8)  # -1 marks Disc = 0
+    disc_sq = np.zeros(len(absdisc), dtype=bool)
+    disc_om[nz], disc_sq[nz] = _batch_omega_squarefree(absdisc[nz])
+    del nz
 
     # pass 2: orbit representatives, each counted with its orbit size
     omega_hist = np.zeros(64, dtype=np.int64)  # Omega(|Disc|) < 63 in int64
@@ -817,9 +808,9 @@ def census(
     try:
         for a0, cols, w in _orbit_slabs(coeff_bound):
             i, j = invariants_raw(cols)
-            k = _lookup(keys, _ij_key(i, j))
-            om = key_om[k]
-            sq = key_sq[k]
+            k = _lookup(absdisc, _abs_disc(i, j))
+            om = disc_om[k]
+            sq = disc_sq[k]
             totals["total_forms"] += int(w.sum())
             zero = om < 0
             totals["zero_disc"] += int(w[zero].sum())
@@ -855,7 +846,7 @@ def census(
         height_bound=height_bound,
         require_s=False,
         omega_hist={str(k): int(v) for k, v in enumerate(omega_hist) if v},
-        distinct_ij=int(len(keys)),
+        distinct_ij=distinct_ij,
         **totals,
     )
     return agg
@@ -907,7 +898,7 @@ def _csv_lines(rows: np.ndarray):
     if (quarter > 1).any():
         raise RuntimeError("a height is not an integer or an odd square over 4")
     table = np.vstack(
-        (rows[:, :7].T, (4 * i**3 - j * j) // 27, h4 // 4, rows[:, 7:9].T, quarter)
+        (rows[:, :7].T, disc27(i, j) // 27, h4 // 4, rows[:, 7:9].T, quarter)
     ).tolist()
     return (
         f'"{a0},{a1},{a2},{a3},{a4}",{a0},{a1},{a2},{a3},{a4},{i},{j},{d},'

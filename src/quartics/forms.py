@@ -35,6 +35,7 @@ __all__ = [
     "twisted_act",
     "invariants",
     "invariants_mod",
+    "disc27",
     "pairing",
     "pairing12",
     "form_product",
@@ -191,12 +192,27 @@ def invariants_raw(c: Coeffs) -> tuple[int, int]:
     return i, j
 
 
+def disc27(i, j):
+    """27 Disc = 4 I^3 - J^2 from the invariants, formed in one buffer.
+
+    Takes Python ints, or int64 arrays whose i already has the result's
+    shape, a broadcast view included: the in-place steps do not
+    broadcast.  int64 callers keep 4|I|^3 + J^2 below 2^63
+    (experiments._check_headroom) or reduce I and J mod a small prime
+    first."""
+    d = i * i
+    d *= i
+    d *= 4
+    d -= j * j
+    return d
+
+
 def invariants_mod(c: Coeffs, p: int) -> tuple[int, int, int]:
     """(I, J, Disc) mod p for p > 3."""
     i, j = invariants_raw(c)
     i %= p
     j %= p
-    disc = (4 * i**3 - j * j) * inv_mod(27, p) % p
+    disc = disc27(i, j) * inv_mod(27, p) % p
     return i, j, disc
 
 
@@ -206,7 +222,7 @@ def invariants(f: QuarticForm) -> tuple[int, int, int]:
         check_prime(f.p, min_exclusive=3)
         return invariants_mod(f.coeffs, f.p)
     i, j = invariants_raw(f.coeffs)
-    num = 4 * i**3 - j * j
+    num = disc27(i, j)
     if num % 27:
         raise RuntimeError(f"27 does not divide 4I^3 - J^2 for {f} (impossible)")
     return i, j, num // 27

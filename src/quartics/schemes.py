@@ -35,6 +35,7 @@ from .forms import (
     QuarticForm,
     SplittingType,
     catalecticant_kernel_quadratic,
+    disc27,
     form_product,
     hessian_mod,
     invariants_mod,
@@ -98,7 +99,7 @@ def brute_count_singular_forms(p: int) -> int:
     count = 0
     for c in product(range(p), repeat=5):
         i, j = invariants_raw(c)
-        if (4 * pow(i, 3, p) - j * j) % p == 0:
+        if disc27(i % p, j % p) % p == 0:
             count += 1
     return count
 
@@ -170,7 +171,7 @@ def singular_proj_reps(p: int) -> tuple:
     out = []
     for c in proj_reps(p, 5):
         i, j = invariants_raw(c)
-        if (4 * pow(i % p, 3, p) - j * j) % p == 0:
+        if disc27(i % p, j % p) % p == 0:
             out.append(c)
     return tuple(out)
 

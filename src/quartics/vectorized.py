@@ -47,7 +47,7 @@ from functools import lru_cache
 import numpy as np
 
 from .ffarith import check_prime, chi12, proj_reps
-from .forms import form_product, hessian_mod, invariants_raw
+from .forms import disc27, form_product, hessian_mod, invariants_raw
 
 __all__ = [
     "singular_coeff_array",
@@ -101,8 +101,7 @@ def singular_coeff_array(p: int) -> np.ndarray:
     grid = np.ix_(*[np.arange(p, dtype=np.int64)] * 4)
     i, j = (np.broadcast_to(x, (p,) * 4) % p for x in invariants_raw((0, *grid)))
     di, dj = ((x - x0) % p for x, x0 in zip(invariants_raw((1, *grid)), (i, j)))
-    v = np.arange(p, dtype=np.int64)
-    on_disc = ((4 * v[:, None] ** 3 - v * v) % p == 0).ravel()
+    on_disc = (disc27(*np.indices((p, p), dtype=np.int64)) % p == 0).ravel()
     out = np.empty((size, 5), dtype=np.int64)
     start = 0
     for a0 in range(p):
@@ -168,13 +167,13 @@ def trace_table(p: int) -> np.ndarray:
     """
     check_prime(p, min_exclusive=3)
     chi = chi_array(p)
-    v = np.arange(p, dtype=np.int64)
-    i, x = v[:, None], v[None, :]
+    i, x = np.indices((p, p), dtype=np.int64, sparse=True)
     hist = np.bincount((i * p + (x**3 - 3 * i * x * x) % p).ravel(), minlength=p * p)
-    sums = hist.reshape(p, p) @ chi[(v[:, None] + v[None, :]) % p]
-    tr = -sums[:, v * v % p]
+    sums = hist.reshape(p, p) @ chi[(i + x) % p]
     j = x
-    valid = (j != 0) & ((4 * i**3 - j * j) % p != 0)
+    tr = -np.take_along_axis(sums, j * j % p, axis=1)
+    # disc27 takes i at the table's shape: a broadcast view, not a copy
+    valid = (j != 0) & (disc27(np.broadcast_to(i, (p, p)), j) % p != 0)
     if np.any((tr[valid] ** 2) > 4 * p):
         raise RuntimeError(f"Hasse bound violated in trace table at p={p}")
     tr[~valid] = 0
@@ -353,9 +352,8 @@ def _case_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
     triple roots, and Disc = 0, J != 0 holds the square locus as well as
     the lone double roots.  Those cells carry TRIPLE and DOUBLE.
     """
-    i = np.arange(p, dtype=np.int64)[:, None]
-    j = np.arange(p, dtype=np.int64)[None, :]
-    double = ((4 * i**3 - j * j) % p == 0) & (j != 0)
+    i, j = np.indices((p, p), dtype=np.int64, sparse=True)
+    double = (disc27(np.broadcast_to(i, (p, p)), j) % p == 0) & (j != 0)
     n = p * trace_table(p)
     case = np.full((p, p), Case.GENERIC, dtype=np.int8)
     n[:, 0] = p * chi_array(p)[(-3 * i[:, 0]) % p]

@@ -13,7 +13,8 @@ from quartics.experiments import (
     box_sum,
     census,
     census_s_rows,
-    singular_lattice_count,
+    family_counts_by_radius,
+    family_x_forms_in_box,
 )
 from quartics.forms import QuarticForm, invariants, invariants_mod
 from quartics.fourier import bound_class, closed_n
@@ -205,10 +206,10 @@ def test_c09_integral_family_counts():
     """The exhaustive scan and the parametrized enumeration agree for
     r <= 6, and count(r)/r^2 stays in a factor-2 band over r in {10,20,40}."""
     for r in range(1, 7):
-        a = singular_lattice_count(r, method="a")
-        b = singular_lattice_count(r, method="b")
+        a = family_counts_by_radius(r)[r]
+        b = len(family_x_forms_in_box(r))
         assert a == b, f"r={r}: {a} != {b}"
-    ratios = [singular_lattice_count(r, method="b") / r**2 for r in (10, 20, 40)]
+    ratios = [len(family_x_forms_in_box(r)) / r**2 for r in (10, 20, 40)]
     assert max(ratios) <= 2 * min(ratios), ratios
     print("ACCEPTANCE 09 integral family counts (A=B to r=6; band to r=40): PASS")
 

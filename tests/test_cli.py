@@ -315,10 +315,11 @@ def test_singular_count_scans_each_box_once(capsys, monkeypatch):
     assert sum(rows) == reps
 
 
-# sha256 of the stdout of three bench commands: a change to the engines
+# sha256 of the stdout of four bench commands: a change to the engines
 # behind them must keep these bytes
 PINNED_ARGV = {
     "box-sum": ["box-sum", "--q", "80", "--r", "6"],
+    "jacobian-check": ["jacobian-check", "--pmax", "61", "--samples", "50", "--seed", "1"],
     "singular-count": ["singular-count", "--rmax", "6"],
     "verify-theorem": [
         "verify-theorem", "--exhaustive-pmax", "7", "--sampled-pmax", "19",
@@ -327,6 +328,7 @@ PINNED_ARGV = {
 }
 PINNED_STDOUT = {
     "box-sum": "afe3de4a2dd09a2d52d28a8c898299bdf27ee003796d71eaa5d8f1f532a44395",
+    "jacobian-check": "064c00ede2b964096a38f58148bc11ddd79d75c3cf36bc18734b66e0a146e921",
     "singular-count": "0601c1abfd926a3c7c1d0880f2dc766faaedf84f2741ae941bb20f4f9346b5da",
     "verify-theorem": "ad87baee84eab64a246b1355ce329a979fe617d33e912f4514bdb864fff0e588",
 }

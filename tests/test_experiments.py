@@ -42,6 +42,7 @@ from quartics.experiments import (
 )
 from quartics.forms import (
     QuarticForm,
+    disc27,
     form_product,
     in_family_X,
     invariants_raw,
@@ -49,7 +50,7 @@ from quartics.forms import (
 )
 from quartics.fourier import BoundClass, bound_class, fourier_q
 from quartics.intfactor import factorize, is_prime, primes_below
-from quartics.vectorized import _case_tables, box_coeff_array, closed_n_batch
+from quartics.vectorized import Case, _case_tables, box_coeff_array, closed_n_batch
 
 
 def test_omega_examples():
@@ -107,10 +108,9 @@ def test_batch_omega_matches_factorize_random(vals):
 
 def test_singular_lattice_counts_small():
     for r in (1, 2, 3, 4):
-        a = singular_lattice_count(r, method="a")
-        b = singular_lattice_count(r, method="b")
-        assert a == b
-        assert singular_lattice_count(r, method="both") == a
+        a = family_counts_by_radius(r)[r]
+        assert a == len(family_x_forms_in_box(r))
+        assert singular_lattice_count(r) == a
     assert singular_lattice_count(1) == 19
 
 
@@ -257,6 +257,22 @@ def test_box_sum_golden_shared_primes():
         3294859088139562000644686547660548581242935933256,
         2339825252947983196289989414023384155425975650625,
     )
+
+
+def test_family_rows_stay_in_family_mod_every_prime():
+    # reduction mod p sends (ax+by)^3 (cx+dy) and t q^2 to forms of the same
+    # shape or to 0, so box_sum's in_x_q5_one is its in_x
+    reps = np.concatenate(
+        [np.stack(cols, axis=1) for _, cols, _ in _orbit_slabs(6, negate=True)]
+    )
+    i, j = invariants_raw(tuple(reps.T))
+    cand = np.flatnonzero(disc27(i, j) == 0)
+    fam = reps[cand[_family_member(tuple(reps[cand].T), i[cand], j[cand])]]
+    assert len(fam) == 83
+    cases = np.empty(len(fam), dtype=np.int8)
+    for p in primes_below(158)[2:]:  # 5 <= p <= 157
+        closed_n_batch(p, fam, cases=cases)
+        assert cases.max() <= Case.NONSPLIT_SQUARE, p
 
 
 def test_box_sum_family_subsums_match_enumeration():
@@ -547,6 +563,21 @@ def test_sorted_unique_matches_np_unique(values):
     assert np.array_equal(_sorted_unique(a), uniq)
     assert _sorted_unique(a).dtype == np.int64
     assert np.array_equal(_lookup(uniq, a), inverse)
+
+
+def test_census_looks_up_each_pass2_slab_once_by_abs_disc(monkeypatch):
+    # pass 2 finds each slab's |Disc| in the one pass-1 table of distinct
+    # |Disc|; no other table is searched
+    lookup = experiments._lookup
+    tables = []
+    monkeypatch.setattr(
+        experiments, "_lookup", lambda table, q: tables.append(table) or lookup(table, q)
+    )
+    census(8)
+    assert len(tables) == sum(1 for _ in _orbit_slabs(8))
+    assert all(t is tables[0] for t in tables)
+    i, j = invariants_raw(tuple(box_coeff_array(8).T))
+    assert np.array_equal(tables[0], np.unique(np.abs(disc27(i, j)) // 27))
 
 
 def test_census_height_filter():

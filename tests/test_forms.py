@@ -1,7 +1,10 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +15,7 @@ from quartics.forms import (
     act,
     catalecticant,
     catalecticant_corank,
+    disc27,
     factor_over_Q,
     format_form,
     hessian_cov,
@@ -19,6 +23,7 @@ from quartics.forms import (
     in_family_X,
     invariants,
     invariants_mod,
+    invariants_raw,
     is_R_soluble,
     pairing,
     pairing12,
@@ -160,6 +165,85 @@ def test_disc_times_27_identity():
         f = QuarticForm(*(rng.randrange(-50, 51) for _ in range(5)))
         i, j, d = invariants(f)
         assert 27 * d == 4 * i**3 - j * j
+
+
+def _explicit_disc(a, b, c, d, e):
+    """Disc of a x^4 + b x^3 y + c x^2 y^2 + d x y^3 + e y^4 by the 16-term
+    formula, apart from the invariants; ints or int64 arrays."""
+    return (
+        256 * a**3 * e**3 - 192 * a**2 * b * d * e**2 - 128 * a**2 * c**2 * e**2
+        + 144 * a**2 * c * d**2 * e - 27 * a**2 * d**4 + 144 * a * b**2 * c * e**2
+        - 6 * a * b**2 * d**2 * e - 80 * a * b * c**2 * d * e + 18 * a * b * c * d**3
+        + 16 * a * c**4 * e - 4 * a * c**3 * d**2 - 27 * b**4 * e**2
+        + 18 * b**3 * c * d * e - 4 * b**3 * d**3 - 4 * b**2 * c**3 * e
+        + b**2 * c**2 * d**2
+    )
+
+
+def test_disc27_matches_invariants():
+    # Python ints past int64: translates of the S anchor, I ~ 1e12, J ~ 1e18
+    rng = random.Random(27)
+    for _ in range(40):
+        c = [c0 + 110592 * rng.randrange(-3, 4) for c0 in F0.coeffs]
+        i, j, d = invariants(QuarticForm(*c))
+        assert disc27(i, j) == 27 * d == 27 * _explicit_disc(*c)
+        assert abs(disc27(i, j)) > 2**63
+    # int64 rows of the box |a_i| <= 3
+    axis = np.arange(-3, 4, dtype=np.int64)
+    cols = tuple(g.ravel() for g in np.meshgrid(*[axis] * 5, indexing="ij"))
+    i, j = invariants_raw(cols)
+    d27 = disc27(i, j)
+    assert d27.dtype == np.int64 and d27.shape == i.shape
+    assert np.array_equal(d27, 27 * _explicit_disc(*cols))
+    for k in range(0, len(i), 997):
+        f = QuarticForm(*(int(v[k]) for v in cols))
+        assert int(d27[k]) == 27 * invariants(f)[2]
+    # the p x p grids of (I, J) mod p, read at every form's cell
+    for p in (5, 7, 11):
+        table = disc27(*np.indices((p, p), dtype=np.int64)) % p
+        rows = tuple(g.ravel() for g in np.indices((p,) * 5, dtype=np.int64))
+        i, j = (v % p for v in invariants_raw(rows))
+        assert np.array_equal(table[i, j], 27 * _explicit_disc(*rows) % p)
+        for k in range(0, p**5, 211):
+            f = QuarticForm(*(int(v[k]) for v in rows), p=p)
+            assert table[i[k], j[k]] == 27 * invariants(f)[2] % p
+
+
+# the spellings of 4 I^3 - J^2 that disc27 replaced: 4 times a cube, then
+# minus or equal to a square
+_DISC_SPELLING = re.compile(
+    r"\b4 \* (pow\([^()]*, 3(, \w+)?\)|[\w.]+(\[[^\]]*\])? ?\*\* ?3)"
+    r" ?(-|==) ?((?P<j>\w+) ?\* ?(?P=j)\b|\w+ ?\*\* ?2\b)"
+)
+
+
+def test_disc27_is_the_one_spelling_of_the_discriminant():
+    for old in (
+        "(4 * i**3 - j * j) % p",
+        "4 * i**3 == j * j",
+        "(4 * pow(i % p, 3, p) - j * j) * inv_mod(27, p) % p",
+        "(4 * pow(i, 3, p) - j * j) % p == 0",
+        "((4 * v[:, None] ** 3 - v * v) % p == 0)",
+        "4 * i**3 - j**2",
+    ):
+        assert _DISC_SPELLING.search(old), old
+    for other in (
+        "x**3 - 3 * i * x * x",
+        "4 * b**3 - 27 * c * c",
+        "4 * np.abs(i) ** 3, j * j",
+        "4 * imax**3 + jmax**2",
+        "p**4 + p**3 - p**2",
+    ):
+        assert not _DISC_SPELLING.search(other), other
+    src = Path(__file__).resolve().parents[1] / "src" / "quartics"
+    hits = [
+        f"{path.name}:{n}: {line.strip()}"
+        for path in sorted(src.glob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if _DISC_SPELLING.search(line)
+    ]
+    assert hits == []
+    assert [p.name for p in src.glob("*.py") if "def disc27(" in p.read_text()] == ["forms.py"]
 
 
 # ---------------------------------------------------------------------------
