@@ -231,13 +231,14 @@ def cmd_singular_count(ns) -> int:
 
 
 def cmd_census(ns) -> int:
-    if ns.out is not None:
-        try:
-            # fail before the sweep, not after it; "a" keeps the file if the
-            # census then rejects its bounds
+    try:
+        # reject bad bounds before the path is touched, and a bad path
+        # before the sweep, not after it
+        experiments.check_census_bounds(ns.coeff_bound, ns.height, ns.require_s)
+        if ns.out is not None:
             open(ns.out, "a").close()
-        except OSError as exc:
-            return _usage_error("census", exc)
+    except (ValueError, OSError) as exc:
+        return _usage_error("census", exc)
     try:
         agg = experiments.census(
             ns.coeff_bound,

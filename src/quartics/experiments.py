@@ -55,6 +55,7 @@ __all__ = [
     "family_x_forms_in_box",
     "CensusRow",
     "census",
+    "check_census_bounds",
     "census_rows",
     "census_s_rows",
     "write_census_csv",
@@ -432,12 +433,27 @@ def _ij_key(i: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 
 def _abs_disc(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """|Disc| from int64 I and J, in disc27's one buffer: fresh temporaries
-    over every distinct (I, J) would set the census's peak RSS."""
+    """|Disc| from int64 I and J, in disc27's one buffer."""
     d = disc27(i, j)
     np.abs(d, out=d)
     d //= 27
     return d
+
+
+_DISC_CHUNK = 1 << 16
+
+
+def _abs_disc_of_keys(keys: np.ndarray) -> np.ndarray:
+    """|Disc| of (I, J) keys, unpacked and formed _DISC_CHUNK keys at a
+    time into one output array: I, J and _abs_disc's buffer over every
+    distinct key at once would set the census's peak RSS."""
+    out = np.empty(len(keys), dtype=np.int64)
+    for start in range(0, len(keys), _DISC_CHUNK):
+        i, j = np.divmod(keys[start : start + _DISC_CHUNK], 2 * _KEY_HALF)
+        i -= _KEY_HALF
+        j -= _KEY_HALF
+        out[start : start + len(i)] = _abs_disc(i, j)
+    return out
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
@@ -491,8 +507,14 @@ def _orbit_slabs(bound: int, negate: bool = False):
     representatives: five int64 columns of them in box order, and their
     weights, the orbit sizes.  sigma sends slab a0 to slab a4 and tau
     flips a1, so representatives have a4 >= a0 and a1 <= 0; with negate,
-    also a0 <= 0 and |a4| <= -a0.  Only those rows are tested.  Raises
-    unless the weights sum to (2 bound + 1)^5.
+    also a0 <= 0 and |a4| <= -a0.  The slab's grid holds just those rows.
+    A row strictly inside it (a1 < 0 and a4 > a0; with negate, also
+    |a4| < -a0) differs from each image in the first coordinate the map
+    moves, a1 under tau and a0 otherwise, and is the smaller there: it
+    is the least of its orbit, with a trivial stabilizer, and weighs
+    len(maps) untested.  Only the rows on the faces a1 = 0, a4 = a0 and
+    (with negate) a4 = -a0 compare box indices with their images.
+    Raises unless the weights sum to (2 bound + 1)^5.
     """
     maps = list(_GROUP)
     if negate:
@@ -504,15 +526,26 @@ def _orbit_slabs(bound: int, negate: bool = False):
         a4 = np.arange(a0, -a0 + 1 if negate else bound + 1, dtype=np.int64)
         grid = np.meshgrid(full[: bound + 1], full, full, a4, indexing="ij")
         cols = (np.full(grid[0].size, a0, dtype=np.int64), *(g.ravel() for g in grid))
-        own = _box_index(cols, bound)
-        rep = np.ones(len(own), dtype=bool)
-        stab = np.zeros(len(own), dtype=np.int64)
+        face = np.zeros(grid[0].shape, dtype=bool)
+        face[-1] = True  # a1 = 0
+        face[..., 0] = True  # a4 = a0
+        if negate:
+            face[..., -1] = True  # a4 = -a0; all of the slab a0 = 0
+        face = np.flatnonzero(face)
+        sub = [c[face] for c in cols]
+        own = _box_index(sub, bound)
+        rep = np.ones(len(face), dtype=bool)
+        stab = np.zeros(len(face), dtype=np.int64)
         for perm, sgn in maps:
-            image = _box_index([s * cols[k] for k, s in zip(perm, sgn)], bound)
+            image = _box_index([s * sub[k] for k, s in zip(perm, sgn)], bound)
             rep &= own <= image
             stab += own == image
-        cols = tuple(c[rep] for c in cols)
-        w = len(maps) // stab[rep]
+        keep = np.ones(len(cols[0]), dtype=bool)
+        keep[face] = rep
+        w = np.full(len(cols[0]), len(maps), dtype=np.int64)
+        w[face] = len(maps) // stab
+        cols = tuple(c[keep] for c in cols)
+        w = w[keep]
         total += int(w.sum())
         yield a0, cols, w
     if total != side**5:
@@ -701,6 +734,28 @@ def _batch_reducible(cols) -> np.ndarray:
     return np.bincount(row[hit], minlength=len(n0)) > 0
 
 
+def check_census_bounds(
+    coeff_bound: int, height_bound: int | None = None, require_s: bool = False
+) -> None:
+    """Raise ValueError on the bounds census rejects: a negative box, a
+    height bound that admits no candidate, and, for the engine (not the S
+    slice), a box beyond _CENSUS_GUARD or the int64 headroom.  It reads no
+    row, so a caller can check before it creates any output."""
+    if coeff_bound < 0:
+        raise ValueError(f"coefficient bound {coeff_bound} is negative")
+    if height_bound is not None and height_bound <= 1:
+        # height < 1 forces I = 0 and |J| <= 1, and J = -2 a2^3 mod 9 is
+        # 0, 2 or 7 mod 9, so J = 0 and Disc = 0
+        raise ValueError(f"height bound {height_bound} admits no candidate")
+    if require_s:
+        return
+    if coeff_bound > _CENSUS_GUARD:
+        raise ValueError(
+            f"coefficient bound {coeff_bound} beyond the engine guard {_CENSUS_GUARD}"
+        )
+    _check_headroom(coeff_bound)
+
+
 def census(
     coeff_bound: int,
     height_bound: int | None = None,
@@ -735,18 +790,15 @@ def census(
     coefficients is an orbit invariant, so each slab's passing rows are
     the images of passing representatives (_expand_slab).  A
     representative whose sigma images lie in a later slab is kept, keyed
-    by a4, until that slab comes.  Each slab's rows are shaped into CSV
-    lines in one batch (_csv_lines): Disc and four times the height are
-    int64 columns, and one f-string per row formats them; the scalar
+    by a4, until that slab comes.  Each slab's rows become CSV bytes in
+    one batch (_csv_bytes): Disc and four times the height are int64
+    columns, every integer column is turned into ASCII digits by numpy,
+    and the lines go to the file opened in binary mode; the scalar
     _csv_record and write_census_csv shape the S-slice rows, whose
-    coefficients can exceed int64.
+    coefficients can exceed int64.  check_census_bounds holds the checks
+    on the bounds, run before anything else.
     """
-    if coeff_bound < 0:
-        raise ValueError(f"coefficient bound {coeff_bound} is negative")
-    if height_bound is not None and height_bound <= 1:
-        # height < 1 forces I = 0 and |J| <= 1, and J = -2 a2^3 mod 9 is
-        # 0, 2 or 7 mod 9, so J = 0 and Disc = 0
-        raise ValueError(f"height bound {height_bound} admits no candidate")
+    check_census_bounds(coeff_bound, height_bound, require_s)
     if require_s:
         rows = census_s_rows(coeff_bound)
         if out_csv is not None:
@@ -759,11 +811,6 @@ def census(
             require_s=True,
         )
         return agg
-    if coeff_bound > _CENSUS_GUARD:
-        raise ValueError(
-            f"coefficient bound {coeff_bound} beyond the engine guard {_CENSUS_GUARD}"
-        )
-    _check_headroom(coeff_bound)
 
     # pass 1: the distinct (I, J), then Omega and squarefreeness per
     # distinct |Disc|
@@ -775,12 +822,9 @@ def census(
     del key_chunks
     keys = _sorted_unique(keys)
     distinct_ij = len(keys)
-    i, j = np.divmod(keys, 2 * _KEY_HALF)
+    absdisc = _abs_disc_of_keys(keys)
     del keys
-    i -= _KEY_HALF
-    j -= _KEY_HALF
-    absdisc = _sorted_unique(_abs_disc(i, j))
-    del i, j
+    absdisc = _sorted_unique(absdisc)
     nz = absdisc != 0
     disc_om = np.full(len(absdisc), -1, dtype=np.int8)  # -1 marks Disc = 0
     disc_sq = np.zeros(len(absdisc), dtype=bool)
@@ -803,8 +847,8 @@ def census(
     out_handle = None
     pending: dict[int, list[np.ndarray]] = {}  # passing representatives by a4
     if out_csv is not None:
-        out_handle = open(out_csv, "w", newline="")
-        out_handle.write(",".join(CSV_HEADER) + "\r\n")
+        out_handle = open(out_csv, "wb")
+        out_handle.write(",".join(CSV_HEADER).encode() + b"\r\n")
     try:
         for a0, cols, w in _orbit_slabs(coeff_bound):
             i, j = invariants_raw(cols)
@@ -834,9 +878,7 @@ def census(
             totals["passing_all"] += int(w[passing].sum())
             if out_handle is not None:
                 reps = np.stack([v[passing] for v in (*cols, i, j, om, sq)], axis=1)
-                out_handle.writelines(
-                    _csv_lines(_expand_slab(a0, reps, pending, coeff_bound))
-                )
+                out_handle.write(_csv_bytes(_expand_slab(a0, reps, pending, coeff_bound)))
     finally:
         if out_handle is not None:
             out_handle.close()
@@ -875,11 +917,35 @@ def _expand_slab(a0: int, reps: np.ndarray, pending: dict, bound: int) -> np.nda
     return rows[first]
 
 
-_FLAG = ("false", "true")
-_QUARTER = ("", ".25")
+def _ascii_digits(v: np.ndarray) -> np.ndarray:
+    """int64 values as ASCII decimals, one row of a uint8 matrix per value:
+    a sign column when any value is negative, then the digits, right
+    aligned.  0 bytes pad, and dropping them leaves the decimal.  Each
+    digit position divides the remaining magnitudes by 10 once."""
+    a = np.abs(v)
+    width = len(str(int(a.max()))) if len(a) else 1
+    neg = v < 0
+    sign = int(neg.any())
+    out = np.zeros((len(v), width + sign), dtype=np.uint8)
+    if sign:
+        out[:, 0] = neg * ord("-")
+    for k in range(1, width + 1):
+        q = a // 10
+        digit = a - q * 10
+        digit += ord("0")
+        if k > 1:
+            digit[a == 0] = 0  # no digits left: pad
+        out[:, -k] = digit
+        a = q
+    return out
 
 
-def _csv_lines(rows: np.ndarray):
+# byte tables, 0-padded: the squarefree flag, and the height's 4 h mod 4
+_FLAG_BYTES = np.frombuffer(b"false\0true", dtype=np.uint8).reshape(2, 5)
+_QUARTER_BYTES = np.frombuffer(b"\0\0\0.25", dtype=np.uint8).reshape(2, 3)
+
+
+def _csv_bytes(rows: np.ndarray) -> bytes:
     """The CSV lines of census rows that passed every filter, as csv.writer
     writes them from _csv_record: the quoted form, then the fields, each
     line ending in CRLF.  rows are int64: a0..a4, I, J, Omega and
@@ -889,22 +955,34 @@ def _csv_lines(rows: np.ndarray):
 
     Disc = (4 I^3 - J^2)/27, and 4 height = max(4 |I|^3, J^2) is 1 mod 4
     exactly when J is odd and J^2/4 > |I|^3: the height then ends in .25.
-    Both are exact in int64 wherever _check_headroom admits the box.  The
-    columns go to Python in one tolist() and are zipped into rows, which
-    holds less than a list per row."""
+    Both are exact in int64 wherever _check_headroom admits the box.  Each
+    integer column becomes a matrix of ASCII digits (_ascii_digits), the
+    separators and flags come from byte tables, and the pieces are joined
+    into one uint8 matrix, row by row, whose pad bytes are dropped."""
+    n = len(rows)
     i, j = rows[:, 5], rows[:, 6]
     h4 = np.maximum(4 * np.abs(i) ** 3, j * j)
     quarter = h4 % 4
     if (quarter > 1).any():
         raise RuntimeError("a height is not an integer or an odd square over 4")
-    table = np.vstack(
-        (rows[:, :7].T, disc27(i, j) // 27, h4 // 4, rows[:, 7:9].T, quarter)
-    ).tolist()
-    return (
-        f'"{a0},{a1},{a2},{a3},{a4}",{a0},{a1},{a2},{a3},{a4},{i},{j},{d},'
-        f"{h}{_QUARTER[q]},{om},{_FLAG[sf]},true,true,false\r\n"
-        for a0, a1, a2, a3, a4, i, j, d, h, om, sf, q in zip(*table)
+
+    def text(b: bytes) -> np.ndarray:
+        return np.broadcast_to(np.frombuffer(b, dtype=np.uint8), (n, len(b)))
+
+    def joined(cols) -> list:
+        return [piece for c in cols for piece in (text(b","), _ascii_digits(c))][1:]
+
+    form = joined(rows[:, :5].T)
+    line = np.concatenate(
+        [
+            text(b'"'), *form, text(b'",'), *form, text(b","),
+            *joined((i, j, disc27(i, j) // 27, h4 // 4)), _QUARTER_BYTES[quarter],
+            text(b","), _ascii_digits(rows[:, 7]), text(b","), _FLAG_BYTES[rows[:, 8]],
+            text(b",true,true,false\r\n"),
+        ],
+        axis=1,
     )
+    return line[line != 0].tobytes()
 
 
 def _below_height(row: CensusRow, height_bound: int | None) -> bool:

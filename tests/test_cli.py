@@ -315,10 +315,11 @@ def test_singular_count_scans_each_box_once(capsys, monkeypatch):
     assert sum(rows) == reps
 
 
-# sha256 of the stdout of four bench commands: a change to the engines
+# sha256 of the stdout of five bench commands: a change to the engines
 # behind them must keep these bytes
 PINNED_ARGV = {
     "box-sum": ["box-sum", "--q", "80", "--r", "6"],
+    "census": ["census", "--coeff-bound", "8"],
     "jacobian-check": ["jacobian-check", "--pmax", "61", "--samples", "50", "--seed", "1"],
     "singular-count": ["singular-count", "--rmax", "6"],
     "verify-theorem": [
@@ -328,6 +329,7 @@ PINNED_ARGV = {
 }
 PINNED_STDOUT = {
     "box-sum": "afe3de4a2dd09a2d52d28a8c898299bdf27ee003796d71eaa5d8f1f532a44395",
+    "census": "5fabaa9c2c015c9dd246b3fc3fe28bb30521cb4e69ef8e651f8e563a6aaf360c",
     "jacobian-check": "064c00ede2b964096a38f58148bc11ddd79d75c3cf36bc18734b66e0a146e921",
     "singular-count": "0601c1abfd926a3c7c1d0880f2dc766faaedf84f2741ae941bb20f4f9346b5da",
     "verify-theorem": "ad87baee84eab64a246b1355ce329a979fe617d33e912f4514bdb864fff0e588",
@@ -339,6 +341,19 @@ def test_bench_stdout_is_pinned(command, capsys):
     code, out, _ = run_cli(PINNED_ARGV[command], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[command]
+
+
+def test_census_csv_bench_is_pinned(capsys, tmp_path):
+    # the census --out bench command: its stdout and the CSV it writes
+    path = tmp_path / "rows.csv"
+    code, out, _ = run_cli(["census", "--coeff-bound", "6", "--out", str(path)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8433ea714e199b0718ba7d1a8dca4199944cb9a992eaad1278bc6a66419de55b"
+    )
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "67cf1cc2574288a4b77926715d66e7ad73a9a8893f79c72484c5e06023630e4a"
+    )
 
 
 def test_singular_count_enumerates_the_family_once(capsys, monkeypatch):
@@ -368,6 +383,23 @@ def test_census_unwritable_out_is_usage_error(capsys, tmp_path):
     kept.write_text("earlier rows\n")
     code, _, _ = run_cli(["census", "--coeff-bound", "-1", "--out", str(kept)], capsys)
     assert code == 2
+    assert kept.read_text() == "earlier rows\n"
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [["--coeff-bound", "-1"], ["--coeff-bound", "30"], ["--coeff-bound", "3", "--height", "1"]],
+)
+def test_rejected_census_writes_no_file(capsys, tmp_path, bounds):
+    # the bounds are checked before the --out path is touched
+    fresh, kept = tmp_path / "new.csv", tmp_path / "kept.csv"
+    kept.write_text("earlier rows\n")
+    for path in (fresh, kept):
+        code, out, err = run_cli(["census", *bounds, "--out", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+    assert not fresh.exists()
     assert kept.read_text() == "earlier rows\n"
 
 

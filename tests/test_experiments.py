@@ -24,6 +24,7 @@ from quartics.experiments import (
 )
 from quartics import experiments
 from quartics.experiments import (
+    _abs_disc_of_keys,
     _aggregate_from_rows,
     _batch_irreducible,
     _batch_omega_squarefree,
@@ -31,10 +32,11 @@ from quartics.experiments import (
     _batch_soluble,
     _CENSUS_GUARD,
     _check_headroom,
-    _csv_lines,
+    _csv_bytes,
     _csv_record,
     _expand_slab,
     _family_member,
+    _ij_key,
     _is_irreducible,
     _lookup,
     _orbit_slabs,
@@ -133,7 +135,7 @@ def _brute_orbits(r, negate):
 
 
 @pytest.mark.parametrize("negate", [False, True])
-@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_orbit_slabs_one_row_per_orbit(r, negate):
     got = [
         (a0, tuple(row), int(wk))
@@ -565,6 +567,17 @@ def test_sorted_unique_matches_np_unique(values):
     assert np.array_equal(_lookup(uniq, a), inverse)
 
 
+def test_abs_disc_of_keys_in_chunks(monkeypatch):
+    # chunks of 7 keys, the last one short, give the one-shot |Disc|
+    rng = np.random.default_rng(5)
+    i = rng.integers(-16 * 25**2, 16 * 25**2 + 1, size=40)
+    j = rng.integers(-137 * 25**3, 137 * 25**3 + 1, size=40)
+    monkeypatch.setattr(experiments, "_DISC_CHUNK", 7)
+    assert _abs_disc_of_keys(_ij_key(i, j)).tolist() == [
+        abs(disc27(a, b)) // 27 for a, b in zip(i.tolist(), j.tolist())
+    ]
+
+
 def test_census_looks_up_each_pass2_slab_once_by_abs_disc(monkeypatch):
     # pass 2 finds each slab's |Disc| in the one pass-1 table of distinct
     # |Disc|; no other table is searched
@@ -722,6 +735,17 @@ def test_batch_soluble_matches_sturm(rows):
 )
 # odd J with J^2/4 > |I|^3 (height 52212.25), and the tie 4|I|^3 = J^2
 @example([((-2, -1, -2, -2, 1), 3, True), ((0, 0, 1, 0, 0), 0, False)])
+# corners of 25B: the widest |I| and |Disc| (I = 10^4), the widest |J| and
+# height (J = 2078125, a negative Disc), the most negative Disc with a zero
+# coefficient, and the zero form
+@example(
+    [
+        ((-25, -25, -25, 25, -25), 12, True),
+        ((-25, -25, 25, -25, -25), 0, False),
+        ((-25, -25, 25, 0, 25), 40, True),
+        ((0, 0, 0, 0, 0), 1, False),
+    ]
+)
 def test_csv_lines_match_csv_writer(rows):
     forms = np.array([f for f, _, _ in rows], dtype=np.int64)
     i, j = invariants_raw(tuple(forms.T))
@@ -731,7 +755,11 @@ def test_csv_lines_match_csv_writer(rows):
         _csv_record(f, int(ik), int(jk), om, (sf, True, True, False))
         for (f, om, sf), ik, jk in zip(rows, i, j)
     )
-    assert "".join(_csv_lines(table)) == expected.getvalue()
+    assert _csv_bytes(table) == expected.getvalue().encode()
+
+
+def test_csv_bytes_of_an_empty_slab():
+    assert _csv_bytes(np.zeros((0, 9), dtype=np.int64)) == b""
 
 
 def test_census_makes_no_scalar_solubility_calls(monkeypatch):
