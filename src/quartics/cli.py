@@ -29,6 +29,7 @@ from .schemes import (
 )
 from .vectorized import (
     all_forms_array,
+    check_singular_size,
     closed_n_batch,
     oracle_n_batch,
     trace_table,
@@ -99,6 +100,10 @@ def cmd_verify_theorem(ns) -> int:
         return _usage_error("verify-theorem", "--samples must be at least 1")
     if ns.threads < 1:
         return _usage_error("verify-theorem", "--threads must be at least 1")
+    try:
+        check_singular_size(max(t[0] for t in tasks))
+    except ValueError as exc:
+        return _usage_error("verify-theorem", exc)
     if ns.threads > 1 and len(tasks) > 1:
         from multiprocessing import Pool  # here, so importing the CLI loads none of it
 
@@ -138,6 +143,8 @@ def _query_form(ns):
 def cmd_fourier(ns) -> int:
     try:
         coeffs = _query_form(ns)
+        if ns.method != "closed":
+            check_singular_size(ns.p)
     except ValueError as exc:
         return _usage_error("fourier", exc)
     payload = {"command": "fourier", "p": ns.p, "form": format_form(coeffs), "method": ns.method}

@@ -16,7 +16,7 @@ pairs as int64 keys, lists their distinct |Disc| and factors each nonzero
 one once, by batched trial division over the primes up to
 isqrt(max |Disc|); the second computes each row's |Disc| and reads its
 Omega and squarefreeness through it.  Real solubility is decided by sign
-analysis, with the square locus He_f || f on Disc = 0, and
+analysis, with the family rule and the sign of J on Disc = 0, and
 irreducibility by mod-p certificates (no root, one root, and
 Stickelberger's discriminant parity) with one exact integer batch step,
 by Gauss's lemma, for the rows no certificate decides."""
@@ -597,10 +597,10 @@ def _batch_soluble(cols) -> np.ndarray:
     A row with a0 >= 0 or a4 >= 0 is soluble.  Otherwise the sign of Disc
     counts the real roots, with the P, D test for four.  On Disc = 0 a
     non-real repeated root comes with its conjugate, so f is insoluble only
-    when f = c q^2 with c < 0 and disc(q) < 0.  Those rows form the square
-    locus He_f || f, on which He/f = 12 c disc(q), so the row is insoluble
-    exactly when that ratio is positive.  Rows with I = J = 0 have a triple
-    or quadruple root, which is real.
+    when f = c q^2 with c < 0 and d = disc(q) < 0.  Such a row is in the
+    family (_family_member) with J = -2 (c d)^3 != 0, and a0 = c u^2 < 0
+    gives c < 0, so it is insoluble exactly when J < 0.  The family's other
+    rows, I = J = 0, have a triple or quadruple root, which is real.
     """
     a0, a1, a2, a3, a4 = cols
     out = (a0 >= 0) | (a4 >= 0)
@@ -623,9 +623,7 @@ def _batch_soluble(cols) -> np.ndarray:
     has_root = (d < 0) | ((d > 0) & (P < 0) & (D < 0))
     zero = np.flatnonzero(d == 0)
     sz = tuple(c[zero] for c in sub)
-    he = hessian_raw(sz)
-    definite = (he[0] * sz[0] > 0) & ((i[zero] != 0) | (j[zero] != 0))
-    has_root[zero] = ~(definite & proportional(sz, he))
+    has_root[zero] = ~((j[zero] < 0) & _family_member(sz, i[zero], j[zero]))
     out[rest] = has_root
     return out
 

@@ -50,11 +50,11 @@ from .ffarith import check_prime, chi12, proj_reps
 from .forms import disc27, form_product, hessian_mod, invariants_raw
 
 __all__ = [
+    "check_singular_size",
     "singular_coeff_array",
     "singular_proj_array",
     "all_forms_array",
     "chi_array",
-    "inv_array",
     "trace_table",
     "count_xf_batch",
     "oracle_n_batch",
@@ -71,7 +71,7 @@ _PAIRING_WEIGHTS = np.array([12, 3, 2, 3, 12], dtype=np.int64)  # forms.pairing1
 # Per-prime tables cached: the 35 primes 5..157 that divide the moduli of
 # box_sum(80, r), the largest Q of the box-sum grid.  At p = 157 a
 # trace_table holds 8p^2 B = 197 KB and a _case_tables pair 9p^2 B = 222 KB,
-# 4.5 MB for all 35 of both; chi_array and inv_array hold 8p B.
+# 4.5 MB for all 35 of both; a chi_array holds 8p B.
 _PRIME_TABLES = 35
 
 
@@ -80,6 +80,17 @@ def all_forms_array(p: int) -> np.ndarray:
     small p)."""
     idx = np.arange(p**5, dtype=np.int64)
     return np.stack([(idx // p ** (4 - k)) % p for k in range(5)], axis=1)
+
+
+def check_singular_size(p: int) -> None:
+    """Raise ValueError, allocating nothing, when singular_coeff_array(p)
+    would pass 2 GiB.  Its peak is about 100 p^4 bytes (measured at p = 23,
+    31 and 37): the 40 p^4-byte result, four p^4-entry int64 grids and the
+    temporaries that form them.  Primes up to 67 pass."""
+    if 100 * p**4 > 2**31:
+        raise ValueError(
+            f"the singular set at p={p} needs about {100 * p**4 / 2**30:.1f} GiB, past 2 GiB"
+        )
 
 
 @lru_cache(maxsize=12)
@@ -93,10 +104,12 @@ def singular_coeff_array(p: int) -> np.ndarray:
     the difference.  A slab's hits are the grid points whose (I, J) cell of
     one p x p table of 4I^3 = J^2 is set; np.nonzero lists them in
     lexicographic order, and they go straight into the preallocated
-    result.  Raises RuntimeError before a slab would write past its end,
-    and when the hits leave it short.
+    result.  Raises ValueError past check_singular_size's bound, and
+    RuntimeError before a slab would write past its end and when the hits
+    leave it short.
     """
     check_prime(p, min_exclusive=3)
+    check_singular_size(p)
     size = p**4 + p**3 - p**2
     grid = np.ix_(*[np.arange(p, dtype=np.int64)] * 4)
     i, j = (np.broadcast_to(x, (p,) * 4) % p for x in invariants_raw((0, *grid)))
@@ -144,14 +157,6 @@ def chi_array(p: int) -> np.ndarray:
     t[0] = 0
     x = np.arange(1, p, dtype=np.int64)
     t[(x * x) % p] = 1
-    return t
-
-
-@lru_cache(maxsize=_PRIME_TABLES)
-def inv_array(p: int) -> np.ndarray:
-    """inv_array(p)[a] = a^-1 mod p (index 0 unused)."""
-    t = np.zeros(p, dtype=np.int64)
-    t[1:] = [pow(int(a), -1, p) for a in range(1, p)]
     return t
 
 
@@ -327,17 +332,18 @@ def proportional(f, g, p: int | None = None) -> np.ndarray:
     return out
 
 
-_EVAL_POINTS = ((1, 0), (0, 1), (1, 1), (1, -1), (1, 2))  # pairwise distinct in P1 for p >= 5
-
-
 class Case(IntEnum):
     """closed_n_batch's case per row; ZERO through NONSPLIT_SQUARE are the
-    rows in family X mod p."""
+    rows in family X mod p.
+
+    The square locus f = c q^2, d = disc(q), has I = (c d)^2 and
+    J = -2 (c d)^3, so it lies in the Disc = 0, J != 0 cells when c d != 0,
+    and chi(d) = chi(-2 I J) chi(c) tells its two cases apart."""
 
     ZERO = 0  # f = 0 mod p
     TRIPLE = 1  # I = J = 0, f != 0: a triple or quadruple root
-    SPLIT_SQUARE = 2  # (1^2 1^2)
-    NONSPLIT_SQUARE = 3  # (2^2)
+    SPLIT_SQUARE = 2  # (1^2 1^2): c q^2, chi(d) = 1
+    NONSPLIT_SQUARE = 3  # (2^2): c q^2, chi(d) = -1
     DOUBLE = 4  # a lone double root: (1^2 11) or (1^2 2)
     SEMIDEGENERATE = 5  # Disc != 0, J = 0
     GENERIC = 6  # Disc != 0, J != 0
@@ -386,9 +392,10 @@ def closed_n_batch(
     Case dispatch per form, by (I, J) mod p through _case_tables: generic
     via the trace table; semidegenerate; I = J = 0, where the rows zero
     mod p are told apart from the triple/quadruple roots by their columns;
-    singular with J != 0, split into the square locus c*q^2 (detected by
-    He_f parallel to f, then split/non-split via the residue class of
-    disc q) and the lone double roots.
+    singular with J != 0, split into the square locus c q^2 (He_f parallel
+    to f) and the lone double roots.  On the square locus chi(disc q) =
+    chi(-2 I J) chi(c), by the identities of Case; raises RuntimeError if
+    it comes out 0.
     """
     check_prime(p, min_exclusive=3)
     forms = np.asarray(forms, dtype=np.int64)
@@ -412,47 +419,27 @@ def closed_n_batch(
     n[zero] = p**4 + p**3 - p**2
     cases[zero] = Case.ZERO
 
-    # singular with J != 0: types (1^2 11), (1^2 2), (1^2 1^2), (2^2)
+    # singular with J != 0: types (1^2 11), (1^2 2), (1^2 1^2), (2^2); a
+    # row whose He_f is not parallel to f is a lone double root, as the
+    # table has it
     rows = np.flatnonzero(cases == Case.DOUBLE)
-    if len(rows):
-        sub = tuple((np.take(forms, rows, axis=0) % p).T)
-        he = hessian_mod(sub, p)
-        prop = proportional(sub, he, p)
-        # not proportional: a lone double root, as the table has it
-        if np.any(prop):
-            sq = tuple(c[prop] for c in sub)
-            hesq = tuple(c[prop] for c in he)
-            # f = c*q^2: ratio He/f = 12 c disc(q); chi(c) from a nonzero value
-            lam = np.zeros(len(sq[0]), dtype=np.int64)
-            seen = np.zeros(len(sq[0]), dtype=bool)
-            for a in range(5):
-                fresh = ~seen & (sq[a] != 0)
-                lam[fresh] = hesq[a][fresh] * inv_array(p)[sq[a][fresh]] % p
-                seen |= fresh
-            if not seen.all():
-                raise RuntimeError("zero form slipped into the square locus")
-            val = np.zeros(len(sq[0]), dtype=np.int64)
-            vseen = np.zeros(len(sq[0]), dtype=bool)
-            for x, y in _EVAL_POINTS:
-                v = (
-                    sq[0] * x**4 + sq[1] * x**3 * y + sq[2] * x * x * y * y
-                    + sq[3] * x * y**3 + sq[4] * y**4
-                ) % p
-                fresh = ~vseen & (v != 0)
-                val[fresh] = v[fresh]
-                vseen |= fresh
-            if not vseen.all():
-                raise RuntimeError("quartic vanished at five projective points")
-            chi = chi_array(p)
-            chi_d = chi[lam] * chi[np.int64(12 % p)] * chi[val]
-            if np.any(chi_d == 0):
-                raise RuntimeError("vanishing proportionality scalar on the square locus")
-            chi3 = chi12(p)
-            split, nonsplit = rows[prop][chi_d == 1], rows[prop][chi_d == -1]
-            n[split] = -chi3 * p * (p - 1)  # (1^2 1^2)
-            cases[split] = Case.SPLIT_SQUARE
-            n[nonsplit] = chi3 * p * (p + 1)  # (2^2)
-            cases[nonsplit] = Case.NONSPLIT_SQUARE
+    sub = tuple((np.take(forms, rows, axis=0) % p).T)
+    prop = proportional(sub, hessian_mod(sub, p), p)
+    rows = rows[prop]
+    # f = c q^2, q = u x^2 + v xy + w y^2, d = v^2 - 4uw != 0 as J != 0:
+    # -2 I J = 4 (c d)^5 has the character of c d, and c that of a0 = c u^2,
+    # or of a2 = c v^2 (v != 0) when u = 0
+    a0, a2 = (sub[k][prop] for k in (0, 2))
+    chi = chi_array(p)
+    chi_d = chi[-2 * i[rows] * j[rows] % p] * chi[np.where(a0 != 0, a0, a2)]
+    if np.any(chi_d == 0):
+        raise RuntimeError("chi(disc q) = 0 on the square locus (impossible with J != 0)")
+    chi3 = chi12(p)
+    split, nonsplit = rows[chi_d == 1], rows[chi_d == -1]
+    n[split] = -chi3 * p * (p - 1)  # (1^2 1^2)
+    cases[split] = Case.SPLIT_SQUARE
+    n[nonsplit] = chi3 * p * (p + 1)  # (2^2)
+    cases[nonsplit] = Case.NONSPLIT_SQUARE
 
     return n
 

@@ -17,7 +17,7 @@ from quartics.experiments import (
     family_x_forms_in_box,
 )
 from quartics.forms import QuarticForm, invariants, invariants_mod
-from quartics.fourier import bound_class, closed_n
+from quartics.fourier import BoundClass, closed_n
 from quartics.intfactor import factorize
 from quartics.schemes import (
     brute_count_singular_forms,
@@ -32,7 +32,9 @@ from quartics.schemes import (
 )
 from quartics.forms import SplittingType, splitting_type
 from quartics.vectorized import (
+    Case,
     all_forms_array,
+    closed_n_batch,
     oracle_n_batch,
     scheme_counts_batch,
     trace_table,
@@ -189,14 +191,21 @@ def test_c07_anchor_form_ledger():
 def test_c08_bound_classes():
     """|n| <= p^4+p^3-p^2 at the origin, <= p^3 on the singular family
     (n-scale of the p^-2 decay), <= 2p^(3/2)+p elsewhere, for every form
-    and p in {5,7,11}; Hasse bound asserted throughout every trace."""
+    and p in {5,7,11}; Hasse bound asserted throughout every trace.  The
+    oracle gives n; each form's class is read from its closed_n_batch Case
+    code (ZERO the origin, TRIPLE..NONSPLIT_SQUARE the family, the rest
+    generic), which test_vectorized checks against bound_class."""
+    classes = (BoundClass.ORIGIN, BoundClass.FAMILY_X, BoundClass.GENERIC)
     for p in (5, 7, 11):
         forms = all_forms_array(p)
         ns = oracle_n_batch(p, forms)
-        for k in range(len(forms)):
-            c = tuple(int(v) for v in forms[k])
-            cls = bound_class(p, c)
-            assert cls.n_bound_holds(int(ns[k]), p), (p, c, int(ns[k]), cls)
+        cases = np.empty(len(forms), dtype=np.int8)
+        closed_n_batch(p, forms, cases=cases)
+        cls = (cases > Case.ZERO).astype(np.int64) + (cases > Case.NONSPLIT_SQUARE)
+        for k, n in set(zip(cls.tolist(), ns.tolist())):
+            assert classes[k].n_bound_holds(n, p), (
+                p, classes[k], n, forms[(cls == k) & (ns == n)][0].tolist()
+            )
         tt = trace_table(p)  # construction Hasse-checks every entry
         assert tt.shape == (p, p)
     print("ACCEPTANCE 08 transform bound classes p in {5,7,11}: PASS")

@@ -315,6 +315,27 @@ def test_singular_count_scans_each_box_once(capsys, monkeypatch):
     assert sum(rows) == reps
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fourier", "--p", "10007", "--form", "1,2,3,4,5", "--method", "oracle"],
+        ["fourier", "--p", "101", "--form", "1,2,3,4,5", "--method", "both"],
+        ["verify-theorem", "--exhaustive-pmax", "5", "--sampled-pmax", "101"],
+    ],
+)
+def test_oversized_oracle_query_exits_two(argv, capsys, monkeypatch):
+    # refused from p alone: neither the singular set nor the sweep starts
+    def unreachable(*args):
+        raise AssertionError("allocation reached")
+
+    monkeypatch.setattr(vectorized, "singular_coeff_array", unreachable)
+    monkeypatch.setattr(cli, "_verify_prime", unreachable)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "past 2 GiB" in err
+
+
 # sha256 of the stdout of five bench commands: a change to the engines
 # behind them must keep these bytes
 PINNED_ARGV = {

@@ -17,6 +17,7 @@ from quartics.forms import (
     catalecticant_corank,
     disc27,
     factor_over_Q,
+    form_product,
     format_form,
     hessian_cov,
     height,
@@ -157,6 +158,16 @@ def test_invariant_covariance_z(c, det_sign, b):
     i0, j0, d0 = invariants(f)
     i1, j1, d1 = invariants(act(g, f))
     assert (i1, j1, d1) == (i0, det_sign**6 * j0, d0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(coeff, coeff, coeff, coeff)
+def test_square_locus_invariants(c, u, v, w):
+    # f = c q^2 with d = disc(q): I = (c d)^2, J = -2 (c d)^3, over Z
+    q = (u, v, w)
+    cd = c * (v * v - 4 * u * w)
+    f = [c * a for a in form_product(q, q)]
+    assert invariants_raw(f) == (cd**2, -2 * cd**3)
 
 
 def test_disc_times_27_identity():

@@ -14,7 +14,7 @@ from quartics.forms import (
     invariants_raw,
     splitting_type_mod,
 )
-from quartics.fourier import closed_n
+from quartics.fourier import BoundClass, bound_class, closed_n
 from quartics.schemes import (
     count_X122,
     count_X1212,
@@ -29,7 +29,6 @@ from quartics.vectorized import (
     chi_array,
     closed_n_batch,
     count_xf_batch,
-    inv_array,
     oracle_n_batch,
     proportional,
     scheme_counts_batch,
@@ -85,14 +84,12 @@ def test_singular_set_checks_its_size(monkeypatch, wrong):
         singular_coeff_array.__wrapped__(5)  # past the cache
 
 
-def test_chi_and_inv_tables():
-    from quartics.ffarith import inv_mod, legendre
+def test_chi_table():
+    from quartics.ffarith import legendre
 
     for p in (5, 13):
         chi = chi_array(p)
         assert all(chi[a] == legendre(a, p) for a in range(p))
-        inv = inv_array(p)
-        assert all(inv[a] == inv_mod(a, p) for a in range(1, p))
 
 
 def test_trace_table():
@@ -362,19 +359,28 @@ _CASE_TYPES = {
 }
 
 
+# the bound class of a Case code: ZERO, then TRIPLE..NONSPLIT_SQUARE, then the rest
+_BOUND_CLASSES = (BoundClass.ORIGIN, BoundClass.FAMILY_X, BoundClass.GENERIC)
+
+
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_case_codes_match_splitting_types(p):
+    # every form at p = 5, 7; at p = 11, 13 random rows and the whole
+    # singular set, which holds the square locus that random rows miss
     if p <= 7:
         forms = all_forms_array(p)
     else:
-        forms = np.random.default_rng(p).integers(0, p, size=(2000, 5), dtype=np.int64)
+        rand = np.random.default_rng(p).integers(0, p, size=(2000, 5), dtype=np.int64)
+        forms = np.concatenate([rand, singular_coeff_array(p)])
     cases = np.empty(len(forms), dtype=np.int8)
     closed_n_batch(p, forms, cases=cases)
     for k in range(len(forms)):
-        t = splitting_type_mod(tuple(int(v) for v in forms[k]), p)
+        c = tuple(int(v) for v in forms[k])
+        t = splitting_type_mod(c, p)
         case = Case(cases[k])
-        assert (case <= Case.NONSPLIT_SQUARE) == t.in_family_x
         assert t in _CASE_TYPES.get(case, {s for s in SplittingType if not s.degenerate})
+        cls = _BOUND_CLASSES[(case > Case.ZERO) + (case > Case.NONSPLIT_SQUARE)]
+        assert bound_class(p, c) is cls, (p, c, case)
 
 
 @settings(deadline=None, max_examples=40)
