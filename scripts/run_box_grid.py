@@ -10,7 +10,7 @@ from quartics.experiments import box_sum
 
 
 def main() -> int:
-    print("Q\tr\tS_exact\tS_float\tbound\tratio\tin_family\tin_family_q5_1")
+    print("Q\tr\tS_exact\tS_float\tbound\tratio\tin_family")
     for Q in (20, 40, 80):
         for r in (3, 5, 8):
             t0 = time.time()
@@ -18,7 +18,7 @@ def main() -> int:
             print(
                 f"{Q}\t{r}\t{res.exact.numerator}/{res.exact.denominator}"
                 f"\t{res.value:.6f}\t{res.bound:.6f}\t{res.ratio:.3f}"
-                f"\t{float(res.in_x_exact):.6f}\t{float(res.in_x_q5_one):.6f}",
+                f"\t{float(res.in_x_exact):.6f}",
                 flush=True,
             )
             print(f"# Q={Q} r={r} took {time.time()-t0:.1f}s", file=sys.stderr)

@@ -8,17 +8,4 @@ family lattice counts, the census), cli (command-line front end), with
 vectorized/intfactor as internal engines.
 """
 
-from .forms import QuarticForm, SplittingType
-from .fourier import FourierValue, BoundClass, closed_fourier, fourier_q, oracle_fourier
-
-__all__ = [
-    "QuarticForm",
-    "SplittingType",
-    "FourierValue",
-    "BoundClass",
-    "closed_fourier",
-    "oracle_fourier",
-    "fourier_q",
-]
-
 __version__ = "0.1.0"

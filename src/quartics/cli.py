@@ -1,7 +1,6 @@
 """Command-line front end: verification sweeps, single-form queries, and
 the lattice experiments.  JSON goes to stdout, progress to stderr; output
-is byte-identical across runs with the same flags and seed (and across
-thread counts).
+is byte-identical across runs with the same flags and seed.
 
 Exit codes: 0 success, 1 verification failure (a minimal counterexample is
 printed in the JSON), 2 usage error.
@@ -19,7 +18,7 @@ from . import experiments
 from .elliptic import jacobian_model, point_count, two_two_from_quartic
 from .ffarith import check_prime
 from .forms import QuarticForm, format_form, invariants_mod, parse_form
-from .fourier import closed_n, oracle_fourier
+from .fourier import closed_n, oracle_n
 from .intfactor import primes_below
 from .schemes import (
     closed_scheme_counts,
@@ -59,8 +58,21 @@ def _primes_in(lo_exclusive: int, hi_inclusive: int) -> list[int]:
 # verify-theorem
 
 
-def _verify_prime(args) -> dict:
-    p, samples, seed = args
+def _check_exhaustive_size(p: int) -> None:
+    """Raise ValueError, allocating nothing, when the exhaustive sweep at p
+    would pass 2 GiB.  Its peak is about 31 p^6 bytes above the import
+    (measured at p = 11, 13 and 17), set by the (p^5, p) pairing table that
+    oracle_n_batch builds for all p^5 forms.  Primes up to 19 pass."""
+    if 31 * p**6 > 2**31:
+        raise ValueError(
+            f"the exhaustive sweep at p={p} needs about {31 * p**6 / 2**30:.1f} GiB, past 2 GiB"
+        )
+
+
+def _verify_prime(p: int, samples: int | None, seed: int) -> dict:
+    """Oracle against closed form at p: every form when samples is None,
+    else that many seeded random forms."""
+    _progress(f"verifying p={p} ({'exhaustive' if samples is None else 'sampled'})")
     if samples is None:
         forms = all_forms_array(p)
     else:
@@ -89,35 +101,21 @@ def _verify_prime(args) -> dict:
 def cmd_verify_theorem(ns) -> int:
     ex_primes = _primes_in(3, ns.exhaustive_pmax)
     sa_primes = [p for p in _primes_in(3, ns.sampled_pmax) if p > ns.exhaustive_pmax]
-    tasks = [(p, None, ns.seed) for p in ex_primes] + [
-        (p, ns.samples, ns.seed) for p in sa_primes
-    ]
-    if not tasks:
+    if not ex_primes and not sa_primes:
         return _usage_error(
             "verify-theorem", "no prime > 3 up to --exhaustive-pmax or --sampled-pmax"
         )
     if sa_primes and ns.samples < 1:
         return _usage_error("verify-theorem", "--samples must be at least 1")
-    if ns.threads < 1:
-        return _usage_error("verify-theorem", "--threads must be at least 1")
     try:
-        check_singular_size(max(t[0] for t in tasks))
+        check_singular_size(max(ex_primes + sa_primes))
+        if ex_primes:
+            _check_exhaustive_size(ex_primes[-1])
     except ValueError as exc:
         return _usage_error("verify-theorem", exc)
-    if ns.threads > 1 and len(tasks) > 1:
-        from multiprocessing import Pool  # here, so importing the CLI loads none of it
-
-        with Pool(ns.threads) as pool:
-            results = pool.map(_verify_prime, tasks)
-    else:
-        results = []
-        for t in tasks:
-            _progress(f"verifying p={t[0]} ({'exhaustive' if t[1] is None else 'sampled'})")
-            results.append(_verify_prime(t))
-    per_p = {r["p"]: r for r in results}
-    exhaustive = [per_p[p] for p in ex_primes]
-    sampled = [per_p[p] for p in sa_primes]
-    ok = all(r["mismatches"] == 0 for r in results)
+    exhaustive = [_verify_prime(p, None, ns.seed) for p in ex_primes]
+    sampled = [_verify_prime(p, ns.samples, ns.seed) for p in sa_primes]
+    ok = all(r["mismatches"] == 0 for r in exhaustive + sampled)
     _emit(
         {
             "command": "verify-theorem",
@@ -150,7 +148,7 @@ def cmd_fourier(ns) -> int:
     payload = {"command": "fourier", "p": ns.p, "form": format_form(coeffs), "method": ns.method}
     ok = True
     if ns.method in ("oracle", "both"):
-        payload["oracle_n"] = oracle_fourier(ns.p, coeffs).n
+        payload["oracle_n"] = oracle_n(ns.p, coeffs)
     if ns.method in ("closed", "both"):
         payload["closed_n"] = closed_n(ns.p, coeffs)
     if ns.method == "both":
@@ -210,7 +208,10 @@ def cmd_box_sum(ns) -> int:
             "bound": res.bound,
             "ratio": res.ratio,
             "in_x": str(res.in_x_exact),
-            "in_x_q5_one": str(res.in_x_q5_one),
+            # the part of in_x where every p | q keeps f in family X mod p:
+            # all of it, as reduction mod p sends (ax+by)^3 (cx+dy) and
+            # t q^2 to forms of the same shape or to 0
+            "in_x_q5_one": str(res.in_x_exact),
         }
     )
     return 0
@@ -219,20 +220,12 @@ def cmd_box_sum(ns) -> int:
 def cmd_singular_count(ns) -> int:
     if ns.rmax < 1:
         return _usage_error("singular-count", "--rmax must be at least 1")
-    # one exhaustive scan and one enumeration of the largest box serve
-    # every r in it, counted cumulatively by max |a_i|
-    exhaustive = experiments.family_counts_by_radius(ns.rmax)
-    radii = [max(map(abs, f)) for f in experiments.family_x_forms_in_box(ns.rmax)]
-    parametrized = np.cumsum(np.bincount(radii, minlength=ns.rmax + 1)).tolist()
-    rows = []
-    ok = True
-    for r in range(1, ns.rmax + 1):
-        b = parametrized[r]
-        rows.append(
-            {"r": r, "parametrized": b, "ratio_r2": b / (r * r), "exhaustive": exhaustive[r]}
-        )
-        if exhaustive[r] != b:
-            ok = False
+    exhaustive, parametrized = experiments.singular_lattice_count(ns.rmax)
+    rows = [
+        {"r": r, "parametrized": b, "ratio_r2": b / (r * r), "exhaustive": exhaustive[r]}
+        for r, b in enumerate(parametrized[1:], start=1)
+    ]
+    ok = exhaustive == parametrized
     _emit({"command": "singular-count", "rmax": ns.rmax, "rows": rows, "ok": ok})
     return 0 if ok else 1
 
@@ -326,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     vt.add_argument("--sampled-pmax", type=int, default=0)
     vt.add_argument("--samples", type=int, default=200)
     vt.add_argument("--seed", type=int, default=1)
-    vt.add_argument("--threads", type=int, default=1)
     vt.set_defaults(func=cmd_verify_theorem)
 
     fo = sub.add_parser("fourier", help="transform value of one form")

@@ -77,10 +77,6 @@ class BoxSumResult:
     exact: Fraction
     bound: float  # r^2/Q + r^4/Q^2 + r^5/Q^(5/2)
     in_x_exact: Fraction  # sub-sum over integral f in the singular family
-    # its part where every p | q keeps f in family X mod p: all of it, as
-    # reduction mod p sends (ax+by)^3 (cx+dy) and t q^2 to forms of the
-    # same shape or to 0
-    in_x_q5_one: Fraction
 
     @property
     def value(self) -> float:
@@ -168,7 +164,7 @@ def box_sum(Q: int, r: int) -> BoxSumResult:
         in_x += Fraction(int(fam_nums.sum()), den)
 
     bound = r * r / Q + r**4 / Q**2 + r**5 / Q**2.5
-    return BoxSumResult(Q, r, total, bound, in_x, in_x)
+    return BoxSumResult(Q, r, total, bound, in_x)
 
 
 _INT64_MAX = (1 << 63) - 1
@@ -258,17 +254,14 @@ def family_counts_by_radius(rmax: int) -> list[int]:
     return np.cumsum(hist).tolist()
 
 
-def singular_lattice_count(r: int) -> int:
-    """|V(Z) & rB & family|, by the exhaustive scan of the whole box
-    (family_counts_by_radius) cross-checked against the parametrized
-    enumeration with dedup (family_x_forms_in_box)."""
-    count_a = family_counts_by_radius(r)[r]
-    count_b = len(family_x_forms_in_box(r))
-    if count_a != count_b:
-        raise RuntimeError(
-            f"family counts disagree at r={r}: scan {count_a}, parametrized {count_b}"
-        )
-    return count_a
+def singular_lattice_count(rmax: int) -> tuple[list[int], list[int]]:
+    """|V(Z) & rB & family| for r = 0..rmax (index r), twice: by the
+    exhaustive scan of rmax B (family_counts_by_radius) and by the
+    parametrized enumeration with dedup of rmax B (family_x_forms_in_box),
+    counted cumulatively by max |a_i|.  The caller compares the two."""
+    exhaustive = family_counts_by_radius(rmax)
+    radii = [max(map(abs, f)) for f in family_x_forms_in_box(rmax)]
+    return exhaustive, np.cumsum(np.bincount(radii, minlength=rmax + 1)).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,12 @@ quartics, the normalized transform at f is
 always a rational number with denominator p^5; we carry the integer
 n = p^5 * Phi_hat_p(f) exactly.  Two independent evaluation routes:
 
-* oracle_fourier sums over the singular set directly.  The singular set is
+* oracle_n sums over the singular set directly.  The singular set is
   a cone, so the nonzero fibers of w -> [w, f] are equinumerous and the
   sum collapses to N0 - (N - N0)/(p - 1); the full fiber vector is
   computed and checked on every call.
 
-* closed_fourier dispatches on the invariants and splitting type of f:
+* closed_n dispatches on the invariants and splitting type of f:
 
     n = p^4 + p^3 - p^2                       f = 0
         p^2 (p - 1)                           type (1^4) or (1^3 1)
@@ -32,7 +32,6 @@ away (their transforms are only ever bounded by 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -50,29 +49,12 @@ from .schemes import eprime_count
 from .vectorized import oracle_n_batch
 
 __all__ = [
-    "FourierValue",
     "BoundClass",
-    "oracle_fourier",
-    "closed_fourier",
+    "oracle_n",
     "closed_n",
     "fourier_q",
     "bound_class",
 ]
-
-
-@dataclass(frozen=True)
-class FourierValue:
-    """Exact transform value n / p^5."""
-
-    n: int
-    p: int
-
-    @property
-    def value(self) -> Fraction:
-        return Fraction(self.n, self.p**5)
-
-    def __str__(self) -> str:
-        return f"{self.n}/{self.p**5}"
 
 
 def _as_modp_coeffs(f, p: int):
@@ -85,16 +67,13 @@ def _as_modp_coeffs(f, p: int):
     return tuple(v % p for v in c)
 
 
-def oracle_fourier(p: int, f) -> FourierValue:
-    """Exact n = p^5 * Phi_hat_p(f) from the fibers of w -> [w, f] over the
-    singular set (precomputed once per p and cached), every fiber computed
-    and the nonzero ones checked equal (oracle_n_batch).
-    """
+def oracle_n(p: int, c) -> int:
+    """Exact n = p^5 * Phi_hat_p(f) for a coefficient 5-tuple, from the
+    fibers of w -> [w, f] over the singular set (precomputed once per p and
+    cached), every fiber computed and the nonzero ones checked equal
+    (oracle_n_batch)."""
     check_prime(p, min_exclusive=3)
-    c = _as_modp_coeffs(f, p)
-    arr = np.array([c], dtype=np.int64)
-    n = int(oracle_n_batch(p, arr)[0])
-    return FourierValue(n, p)
+    return int(oracle_n_batch(p, np.array([[v % p for v in c]], dtype=np.int64))[0])
 
 
 def closed_n(p: int, c) -> int:
@@ -119,11 +98,6 @@ def closed_n(p: int, c) -> int:
     if typ is SplittingType.D22:
         return chi * p * (p + 1)
     raise RuntimeError(f"type {typ} with Disc = 0, J != 0 (impossible)")
-
-
-def closed_fourier(p: int, f) -> FourierValue:
-    """Closed-form transform value, dispatching on invariants and type."""
-    return FourierValue(closed_n(p, _as_modp_coeffs(f, p)), p)
 
 
 def fourier_q(q: int, f: QuarticForm) -> Fraction:

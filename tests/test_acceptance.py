@@ -234,7 +234,7 @@ def test_c10_box_estimate_grid():
             res = box_sum(Q, r)
             ratios[(Q, r)] = res.ratio
             vals.append(res.exact)
-            assert res.in_x_q5_one <= res.in_x_exact <= res.exact
+            assert res.in_x_exact <= res.exact
             assert res.in_x_exact >= 0
         assert vals[0] > vals[1] > vals[2], f"not decreasing in Q at r={r}"
     assert max(ratios.values()) <= 512.0, ratios

@@ -3,6 +3,8 @@ name they use must still exist.  perfbench/ is read here, never imported."""
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -37,3 +39,17 @@ def test_benchmark_imports_exist():
                 mod = importlib.import_module(node.module)
                 for alias in node.names:
                     assert hasattr(mod, alias.name), f"{path.name}: {node.module}.{alias.name}"
+
+
+def test_cli_import_loads_every_traced_module():
+    # tracer.py imports quartics.cli alone and finds the modules it wraps
+    # in sys.modules
+    tracer = PERFBENCH / "tracer.py"
+    named = set(_literal(tracer, "LAYERS")) | {m for m, _ in _literal(tracer, "CACHED")}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, quartics.cli; print(*sorted(sys.modules))"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert {f"quartics.{m}" for m in named} <= set(proc.stdout.split())

@@ -75,7 +75,7 @@ def test_verify_theorem_small(capsys):
     assert [r["p"] for r in payload["sampled"]] == [7, 11]
 
 
-def test_verify_theorem_deterministic_and_thread_invariant(capsys):
+def test_verify_theorem_deterministic(capsys):
     argv = [
         "verify-theorem",
         "--exhaustive-pmax",
@@ -90,8 +90,6 @@ def test_verify_theorem_deterministic_and_thread_invariant(capsys):
     _, out1, _ = run_cli(argv, capsys)
     _, out2, _ = run_cli(argv, capsys)
     assert out1 == out2
-    _, out3, _ = run_cli(argv + ["--threads", "2"], capsys)
-    assert out1 == out3
 
 
 def test_verify_theorem_counts_every_mismatch(capsys, monkeypatch):
@@ -120,17 +118,6 @@ def test_verify_theorem_counts_every_mismatch(capsys, monkeypatch):
         {"p": 5, "form": ",".join(map(str, f)), "oracle_n": int(n), "closed_n": int(n) + 1}
         for f, n in zip(forms.tolist(), oracle)
     ]
-
-
-def test_import_loads_no_multiprocessing():
-    # Pool is imported by the threaded verify-theorem path alone
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, quartics.cli; print('multiprocessing' in sys.modules)"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "False"
 
 
 def test_box_sum_command(capsys):
@@ -201,6 +188,12 @@ def test_usage_error_exit_two():
         capture_output=True,
     )
     assert proc.returncode == 2
+    proc = subprocess.run(  # an unknown flag
+        [sys.executable, "-m", "quartics.cli", "verify-theorem", "--exhaustive-pmax", "5",
+         "--threads", "2"],
+        capture_output=True,
+    )
+    assert proc.returncode == 2 and proc.stdout == b""
 
 
 @pytest.mark.parametrize(
@@ -270,14 +263,8 @@ def test_bad_query_input_exits_two(argv, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_threads_flag_alone_sets_threads():
-    # --threads below 1 is a usage error; QUARTICS_THREADS is not read
+def test_quartics_threads_env_is_not_read():
     env = dict(os.environ, QUARTICS_THREADS="abc")
-    argv = [sys.executable, "-m", "quartics.cli", "verify-theorem", "--exhaustive-pmax", "5"]
-    proc = subprocess.run([*argv, "--threads", "-3"], capture_output=True, text=True, env=env)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert len(proc.stderr.strip().splitlines()) == 1
     proc = subprocess.run(
         [sys.executable, "-m", "quartics.cli", "census", "--coeff-bound", "1"],
         capture_output=True,
@@ -321,6 +308,7 @@ def test_singular_count_scans_each_box_once(capsys, monkeypatch):
         ["fourier", "--p", "10007", "--form", "1,2,3,4,5", "--method", "oracle"],
         ["fourier", "--p", "101", "--form", "1,2,3,4,5", "--method", "both"],
         ["verify-theorem", "--exhaustive-pmax", "5", "--sampled-pmax", "101"],
+        ["verify-theorem", "--exhaustive-pmax", "23"],  # the pairing table
     ],
 )
 def test_oversized_oracle_query_exits_two(argv, capsys, monkeypatch):
@@ -334,6 +322,13 @@ def test_oversized_oracle_query_exits_two(argv, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and "past 2 GiB" in err
+
+
+def test_exhaustive_size_bound():
+    # about 31 p^6 bytes: p = 19 needs 1.4 GiB, p = 23 needs 4.3 GiB
+    cli._check_exhaustive_size(19)
+    with pytest.raises(ValueError, match="past 2 GiB"):
+        cli._check_exhaustive_size(23)
 
 
 # sha256 of the stdout of five bench commands: a change to the engines

@@ -3,6 +3,7 @@ import hashlib
 import io
 from dataclasses import replace
 from fractions import Fraction
+from itertools import count
 from math import isqrt
 
 import numpy as np
@@ -109,11 +110,12 @@ def test_batch_omega_matches_factorize_random(vals):
 
 
 def test_singular_lattice_counts_small():
+    exhaustive, parametrized = singular_lattice_count(4)
+    assert exhaustive == parametrized
     for r in (1, 2, 3, 4):
         a = family_counts_by_radius(r)[r]
-        assert a == len(family_x_forms_in_box(r))
-        assert singular_lattice_count(r) == a
-    assert singular_lattice_count(1) == 19
+        assert a == len(family_x_forms_in_box(r)) == exhaustive[r]
+    assert exhaustive[:2] == [1, 19]
 
 
 def _orbit(f, negate):
@@ -228,7 +230,7 @@ def test_box_sum_anchor():
     res = box_sum(5, 1)
     assert res.exact == Fraction(73574986, 300125)
     assert res.in_x_exact == Fraction(29013806, 1500625)
-    assert res.in_x_q5_one <= res.in_x_exact <= res.exact
+    assert 0 <= res.in_x_exact <= res.exact
     with pytest.raises(ValueError):
         box_sum(3, 5)
     with pytest.raises(ValueError):
@@ -242,7 +244,7 @@ def test_box_sum_golden_zero_mod_p_rows():
     assert res.exact == Fraction(
         759121545087201859971595202, 620917258679232471831875
     )
-    assert res.in_x_exact == res.in_x_q5_one == Fraction(
+    assert res.in_x_exact == Fraction(
         205369508321565625767066118, 6830089845471557190150625
     )
 
@@ -255,7 +257,7 @@ def test_box_sum_golden_shared_primes():
         235743896594426068815759799627994626043850080768,
         93593010117919327851599576560935366217039026025,
     )
-    assert res.in_x_exact == res.in_x_q5_one == Fraction(
+    assert res.in_x_exact == Fraction(
         3294859088139562000644686547660548581242935933256,
         2339825252947983196289989414023384155425975650625,
     )
@@ -263,7 +265,7 @@ def test_box_sum_golden_shared_primes():
 
 def test_family_rows_stay_in_family_mod_every_prime():
     # reduction mod p sends (ax+by)^3 (cx+dy) and t q^2 to forms of the same
-    # shape or to 0, so box_sum's in_x_q5_one is its in_x
+    # shape or to 0, so every p | q keeps box_sum's family rows in family X
     reps = np.concatenate(
         [np.stack(cols, axis=1) for _, cols, _ in _orbit_slabs(6, negate=True)]
     )
@@ -279,12 +281,13 @@ def test_family_rows_stay_in_family_mod_every_prime():
 
 def test_box_sum_family_subsums_match_enumeration():
     # box_sum takes its family rows from _family_member; the scalar sums
-    # over the parametrized enumeration give the same two sub-sums.  Q = 20
-    # holds q = 35, where the family products of 5 and 7 are formed
+    # over the parametrized enumeration give the same sub-sum, also when
+    # each term is kept only where every p | q leaves f in family X mod p.
+    # Q = 20 holds q = 35, where the family products of 5 and 7 are formed
     Q, r = 20, 3
     res = box_sum(Q, r)
     forms = family_x_forms_in_box(r) - {(0, 0, 0, 0, 0)}
-    in_x = in_x_q5_one = Fraction(0)
+    in_x = in_x_mod_p = Fraction(0)
     for q in range(Q, 2 * Q + 1):
         if not factorize(q).squarefree:
             continue
@@ -293,9 +296,8 @@ def test_box_sum_family_subsums_match_enumeration():
             v = abs(fourier_q(q, f))
             in_x += v
             if all(bound_class(p, f) is not BoundClass.GENERIC for p in ps):
-                in_x_q5_one += v
-    assert res.in_x_exact == in_x
-    assert res.in_x_q5_one == in_x_q5_one
+                in_x_mod_p += v
+    assert res.in_x_exact == in_x == in_x_mod_p
 
 
 def _box_sum_18_5_bounds():
@@ -348,6 +350,16 @@ def test_census_row_incomplete_factoring_is_not_squarefree(monkeypatch):
     monkeypatch.setattr(experiments, "factorize", lambda n: factorize(n, trial_bound=2))
     row = census_row(F0)
     assert not row.omega_complete and not row.squarefree
+
+
+def test_census_guard_stays_below_the_s_box():
+    # the engine writes s_rows = s_passing = 0 and in_S = false, true only
+    # while its boxes hold no S-congruence row; the smallest box that holds
+    # one, F0's, must stay past _CENSUS_GUARD
+    smallest = next(b for b in count() if census_s_rows(b))
+    assert smallest == 38 and census_s_rows(37) == []
+    assert [row.coeffs for row in census_s_rows(smallest)] == [F0.coeffs]
+    assert _CENSUS_GUARD < smallest
 
 
 def test_census_s_slice():

@@ -8,12 +8,10 @@ import pytest
 from quartics.forms import QuarticForm, act
 from quartics.fourier import (
     BoundClass,
-    FourierValue,
     bound_class,
-    closed_fourier,
     closed_n,
     fourier_q,
-    oracle_fourier,
+    oracle_n,
 )
 from quartics.vectorized import singular_coeff_array
 
@@ -26,32 +24,26 @@ def rand_gl2(rng, p):
 
 
 def test_theorem_values():
-    assert oracle_fourier(5, (0, 0, 0, 0, 0)).n == 725
+    assert oracle_n(5, (0, 0, 0, 0, 0)) == 725
     assert closed_n(5, (0, 0, 0, 0, 0)) == 5**4 + 5**3 - 5**2
-    assert oracle_fourier(5, (1, 0, 0, 0, 0)).n == 100  # type (1^4): p^2(p-1)
+    assert oracle_n(5, (1, 0, 0, 0, 0)) == 100  # type (1^4): p^2(p-1)
     assert closed_n(5, (1, 0, 0, 0, 0)) == 100
-    assert oracle_fourier(5, (1, 0, 0, 1, 0)).n == 0  # trace 0 curve
+    assert oracle_n(5, (1, 0, 0, 1, 0)) == 0  # trace 0 curve
     # type (2^2) at p=5: chi12(5) * 5 * 6 = -30
     from quartics.ffarith import quadratic_nonresidue
 
     beta = quadratic_nonresidue(5)
     sq = (1, 0, -2 * beta, 0, beta * beta)
     assert closed_n(5, sq) == -30
-    assert oracle_fourier(5, sq).n == -30
-
-
-def test_fourier_value_type():
-    v = FourierValue(725, 5)
-    assert v.value == Fraction(725, 3125)
-    assert str(v) == "725/3125"
+    assert oracle_n(5, sq) == -30
 
 
 def test_rejects_small_primes():
     for p in (2, 3, 4, 9):
         with pytest.raises(ValueError):
-            closed_fourier(p, (1, 0, 0, 0, 0))
+            closed_n(p, (1, 0, 0, 0, 0))
         with pytest.raises(ValueError):
-            oracle_fourier(p, (1, 0, 0, 0, 0))
+            oracle_n(p, (1, 0, 0, 0, 0))
 
 
 def test_semideg_value():
@@ -63,7 +55,7 @@ def test_semideg_value():
     for p in (5, 7, 11, 13):
         i, j, d = invariants_mod(c, p)
         assert j == 0 and d != 0
-        assert closed_n(p, c) == legendre(-3 * i, p) * p == oracle_fourier(p, c).n
+        assert closed_n(p, c) == legendre(-3 * i, p) * p == oracle_n(p, c)
 
 
 @pytest.mark.parametrize("p", [11, 13])
@@ -71,7 +63,7 @@ def test_oracle_equals_closed_sampled(p):
     rng = random.Random(p)
     for _ in range(60):
         c = tuple(rng.randrange(p) for _ in range(5))
-        assert oracle_fourier(p, c).n == closed_n(p, c)
+        assert oracle_n(p, c) == closed_n(p, c)
 
 
 def test_pgl_invariance():
@@ -160,6 +152,6 @@ def test_bound_class_numeric():
 
 def test_mismatched_modulus_rejected():
     with pytest.raises(ValueError):
-        oracle_fourier(5, QuarticForm(1, 0, 0, 0, 0, p=7))
+        bound_class(5, QuarticForm(1, 0, 0, 0, 0, p=7))
     with pytest.raises(ValueError):
         fourier_q(35, QuarticForm(1, 0, 0, 0, 0, p=7))

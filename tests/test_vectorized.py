@@ -222,10 +222,10 @@ def test_table_selection_by_input_size(monkeypatch):
     assert vectorized._table_rows(5, rows, rows[:624]) is None
     assert vectorized._table_rows(5, rows, rows) is not None
     built = _spy_tables(monkeypatch)
-    assert cli._verify_prime((7, None, 1))["mismatches"] == 0
+    assert cli._verify_prime(7, None, 1)["mismatches"] == 0
     assert built == [7]
     built.clear()
-    assert cli._verify_prime((11, 200, 1))["mismatches"] == 0
+    assert cli._verify_prime(11, 200, 1)["mismatches"] == 0
     assert built == []
 
 
