@@ -359,6 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
+    if getattr(ns, "seed", 0) < 0:  # numpy's generators refuse it mid-run
+        return _usage_error(ns.command, "--seed must be nonnegative")
     return ns.func(ns)
 
 

@@ -3,26 +3,24 @@
 The scalar implementations in forms/schemes/fourier are the contracts;
 everything here is an equivalent vectorized evaluation path for sweeps
 over ~p^5-sized spaces.  All arithmetic is exact: int64 modular work plus
-BLAS float64 products of nonnegative integers.  Every count of zero
+BLAS float products of nonnegative integers.  Every count of zero
 pairings goes through _zero_pairings, whose dot products are at most
 5 (p-1)^2; it checks in code, before any product, that this fits the int32
 it casts to (primes up to 20,719).  The oracle's fibre product also
-carries each form's bincount offset, and _fibre_product checks in code,
-before its loop, that its largest index is below 2^53.  The scalar/vectorized
+carries each form's bincount offset, and _fibre_product sizes its float32
+chunks so that its largest index is below 2^24.  The scalar/vectorized
 agreement is itself part of the test suite.
 
-Memory discipline, per chunk: every float64 product, pairing or fibre,
-holds at most _CHUNK_ENTRIES (2^19) entries, 4 MB, unless one form alone
-needs more (then one form per chunk, one entry per row: p^4 + p^3 - p^2
-for the fibres).  A pairing chunk's int32 copy takes half as much again,
-a fibre chunk's int64 copy as much again, and its histogram has k*m bins
-for k forms, m < 5p^2 + p.  Beyond those, memory is the size of the
+Memory discipline, per chunk: a pairing product holds at most
+_CHUNK_ENTRIES (2^19) float64 entries and a fibre product as many float32
+ones, unless one form alone needs more (then one form per chunk, one
+entry per row: p^4 + p^3 - p^2 for the fibres).  Their int32 and int64
+copies take half and twice as much again, and a fibre histogram has k*m
+bins for k forms, m < 5p^2 + p.  Beyond those, memory is the size of the
 inputs and outputs: a row set (p^5 x 5 for all_forms_array, a
-(2r+1)^5 x 5 box), a few row-length vectors, and the singular set of
-about p^4 rows.  singular_coeff_array writes that set slab by slab into
-one preallocated array, 5.5 MB at p = 19, beside a handful of p^4-entry
-int64 grids of I, J and their steps (1 MB each at p = 19); no slab list
-and no concatenated copy.
+(2r+1)^5 x 5 box), a few row-length vectors, and the one cached
+singular set of about p^4 rows, 5.5 MB at p = 19, written slab by slab
+into one preallocated array beside p^4-entry grids: four uint8, one uint16.
 
 The pairing table (_pairing_table) holds the fibres of every one of the
 p^5 forms at once: p^6 float64 entries, 0.9 MB at p = 7, 14 MB at p = 11
@@ -83,54 +81,56 @@ def all_forms_array(p: int) -> np.ndarray:
 
 
 def check_singular_size(p: int) -> None:
-    """Raise ValueError, allocating nothing, when singular_coeff_array(p)
-    would pass 2 GiB.  Its peak is about 100 p^4 bytes (measured at p = 23,
-    31 and 37): the 40 p^4-byte result, four p^4-entry int64 grids and the
-    temporaries that form them.  Primes up to 67 pass."""
-    if 100 * p**4 > 2**31:
+    """Raise ValueError, allocating nothing, when an oracle query at p
+    would pass 2 GiB.  Its peak, 78 to 85 p^4 bytes at p = 23 to 43, is the
+    build of the singular set beside the previous prime's set, which the
+    cache holds until the new one is stored.  Primes up to 67 pass."""
+    if 85 * p**4 > 2**31:
         raise ValueError(
-            f"the singular set at p={p} needs about {100 * p**4 / 2**30:.1f} GiB, past 2 GiB"
+            f"the singular set at p={p} needs about {85 * p**4 / 2**30:.1f} GiB, past 2 GiB"
         )
 
 
-@lru_cache(maxsize=12)
+@lru_cache(maxsize=1)  # a sweep visits each prime once, in ascending order
 def singular_coeff_array(p: int) -> np.ndarray:
     """(p^4 + p^3 - p^2, 5) read-only array of all singular forms, zero row
     included, in lexicographic order.
 
     No monomial of I or J has a0 twice, so both are affine in a0:
-    invariants_raw runs on the broadcast (p, p, p, p) grid of (a1, a2, a3,
-    a4) at a0 = 0 and at a0 = 1, and each later slab steps (I, J) mod p by
-    the difference.  A slab's hits are the grid points whose (I, J) cell of
-    one p x p table of 4I^3 = J^2 is set; np.nonzero lists them in
-    lexicographic order, and they go straight into the preallocated
-    result.  Raises ValueError past check_singular_size's bound, and
-    RuntimeError before a slab would write past its end and when the hits
-    leave it short.
+    invariants_raw runs on each a1's (a2, a3, a4) grid at a0 = 0 and 1,
+    filling uint8 (p, p, p, p) grids of (I, J) mod p and their a0-steps;
+    each next slab adds the steps and wraps (x + dx < 2p < 256 within
+    check_singular_size's bound).  A slab's hits, the uint16 cell codes
+    I*p + J set in one p x p table of 4I^3 = J^2, come from np.flatnonzero
+    in lexicographic order, decoded straight into the preallocated result.
+    Raises ValueError past check_singular_size's bound, and RuntimeError
+    before a slab would write past its end and when the hits leave it short.
     """
     check_prime(p, min_exclusive=3)
     check_singular_size(p)
     size = p**4 + p**3 - p**2
-    grid = np.ix_(*[np.arange(p, dtype=np.int64)] * 4)
-    i, j = (np.broadcast_to(x, (p,) * 4) % p for x in invariants_raw((0, *grid)))
-    di, dj = ((x - x0) % p for x, x0 in zip(invariants_raw((1, *grid)), (i, j)))
+    grid = np.ix_(*[np.arange(p, dtype=np.int64)] * 3)
+    i, j, di, dj = np.empty((4,) + (p,) * 4, dtype=np.uint8)
+    for a1 in range(p):
+        (i0, j0), (i1, j1) = (invariants_raw((a0, a1, *grid)) for a0 in (0, 1))
+        i[a1], j[a1], di[a1], dj[a1] = i0 % p, j0 % p, (i1 - i0) % p, (j1 - j0) % p
     on_disc = (disc27(*np.indices((p, p), dtype=np.int64)) % p == 0).ravel()
+    code = np.empty_like(i, dtype=np.uint16)
     out = np.empty((size, 5), dtype=np.int64)
     start = 0
     for a0 in range(p):
-        if a0:
-            i += di
-            i %= p
-            j += dj
-            j %= p
-        hits = np.nonzero(on_disc[i * p + j])
-        stop = start + len(hits[0])
+        np.multiply(i, p, out=code, dtype=np.uint16)
+        code += j
+        hits = np.flatnonzero(on_disc[code])
+        stop = start + len(hits)
         if stop > size:
             raise RuntimeError(f"singular count at p={p} passes {size} in slab a0={a0}")
-        out[start:stop, 0] = a0
-        for k, col in enumerate(hits, start=1):
+        for k, col in enumerate((a0, *np.unravel_index(hits, i.shape))):
             out[start:stop, k] = col
         start = stop
+        for x, dx in ((i, di), (j, dj)):  # on to slab a0 + 1
+            x += dx
+            np.minimum(x, x - p, out=x)  # x - p wraps past 255 where x < p
     if start != size:
         raise RuntimeError(f"singular count mismatch at p={p}: {start}")
     out.flags.writeable = False
@@ -250,33 +250,31 @@ def _zero_pairings(p: int, rows: np.ndarray, forms: np.ndarray) -> np.ndarray:
 
 def _fibre_product(p: int, rows: np.ndarray, forms: np.ndarray) -> np.ndarray:
     """(len(forms), p) int64 fibres N[k, t] = #{w in rows : [w, f_k] = t},
-    forms reduced mod p, by one float64 BLAS product per chunk of forms.
+    forms reduced mod p, by one float32 BLAS product per chunk of forms.
 
     The product gives every bincount index at once: the weighted rows, a
-    contiguous (6, n) block, carry a ones row and the forms a column of
-    offsets k*m, so entry (k, w) is k*m plus a representative of [w, f_k]
-    in [0, 5(p-1)^2], below m.  m is a multiple of p, so the (k, m)
-    histogram folds into the (k, p) fibre histogram over m/p blocks.  The
-    product and its int64 copy are buffers allocated once per call, not
-    once per chunk."""
-    n = len(rows)
+    contiguous (6, n) block reduced mod p as it is cast, carry a ones row
+    and the forms a column of offsets k*m, so entry (k, w) is k*m plus a
+    representative of [w, f_k] in [0, 5(p-1)^2], below m.  Chunks of at
+    most 2^24 / m forms keep every sum exact.  m is a multiple of p, so the
+    (k, m) histogram folds into the (k, p) fibre histogram over m/p blocks.
+    The product and its int64 copy are allocated once per call."""
     m = p * (5 * (p - 1) ** 2 // p + 1)
-    step = max(1, min(_CHUNK_ENTRIES // n, len(forms)))
-    if (step + 1) * m >= 2**53:
-        raise RuntimeError(f"fibre indices at p={p} exceed the float64 exact range")
-    ws = np.ones((6, n))
-    ws[:5] = rows.T
+    if m > 2**24:
+        raise RuntimeError(f"fibre indices at p={p} exceed the float32 exact range")
+    n = len(rows)
+    step = max(1, min(_CHUNK_ENTRIES // n, 2**24 // m, len(forms)))
+    ws = np.ones((6, n), dtype=np.float32)
+    np.remainder(rows.T, p, out=ws[:5], casting="unsafe")  # exact for any int64 row
     ws[:5] *= _PAIRING_WEIGHTS[:, None]
     ws[:5] %= p
-    prod = np.empty((step, n))
+    prod = np.empty((step, n), dtype=np.float32)
     idx = np.empty((step, n), dtype=np.int64)
     out = np.empty((len(forms), p), dtype=np.int64)
     for start in range(0, len(forms), step):
         k = min(step, len(forms) - start)
-        fs = np.empty((6, k))
-        fs[:5] = forms[start : start + k].T
-        fs[5] = np.arange(k) * m
-        np.matmul(fs.T, ws, out=prod[:k])
+        fs = np.column_stack((forms[start : start + k], np.arange(k) * m)).astype(np.float32)
+        np.matmul(fs, ws, out=prod[:k])
         np.copyto(idx[:k], prod[:k], casting="unsafe")
         hist = np.bincount(idx[:k].ravel(), minlength=k * m)
         out[start : start + k] = hist.reshape(k, m // p, p).sum(axis=1)

@@ -194,6 +194,19 @@ def test_usage_error_exit_two():
         capture_output=True,
     )
     assert proc.returncode == 2 and proc.stdout == b""
+    for argv in (  # a negative seed, which numpy's generator would refuse mid-run
+        ["jacobian-check", "--pmax", "7", "--samples", "2", "--seed", "-3"],
+        ["verify-theorem", "--exhaustive-pmax", "0", "--sampled-pmax", "5", "--samples", "3",
+         "--seed", "-1"],
+        ["verify-theorem", "--exhaustive-pmax", "5", "--sampled-pmax", "0", "--seed", "-1"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "quartics.cli", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.strip().splitlines() == [
+            f"quartics {argv[0]}: --seed must be nonnegative"
+        ]
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """The numpy engines must agree with the scalar contract implementations."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -64,6 +65,19 @@ def test_singular_sets():
         assert set(map(tuple, reps)) == set(singular_proj_reps(p))
 
 
+def test_singular_sets_pinned():
+    # the sets past test_singular_sets' brute filter, pinned by sha256; the
+    # cache keeps the last set only
+    pinned = {
+        17: "be6df1bec73737fc0910d62e20d6af04fdb1a4ebe7da4e3924b2e049fbb91c95",
+        19: "60abde656a4423ba959879608f1b902d105336f363c9e70c1a79ea775c04991c",
+        23: "8fa8b5c076f010b8303ba9686902a9fcc81a6b536d8526c47acac44e04b8e855",
+    }
+    for p, digest in pinned.items():
+        assert hashlib.sha256(singular_coeff_array(p).tobytes()).hexdigest() == digest
+        assert singular_coeff_array.cache_info().currsize == 1
+
+
 def test_singular_sets_are_read_only():
     # the cached arrays are shared by every later oracle call
     for arr in (singular_coeff_array(5), singular_proj_array(5)):
@@ -82,6 +96,13 @@ def test_singular_set_checks_its_size(monkeypatch, wrong):
     monkeypatch.setattr(vectorized, "invariants_raw", wrong)
     with pytest.raises(RuntimeError, match="singular count"):
         singular_coeff_array.__wrapped__(5)  # past the cache
+
+
+def test_singular_size_bound():
+    # about 85 p^4 bytes: p = 67 needs 1.6 GiB, p = 71 needs 2.0 GiB
+    vectorized.check_singular_size(67)
+    with pytest.raises(ValueError, match="past 2 GiB"):
+        vectorized.check_singular_size(71)
 
 
 def test_chi_table():
@@ -193,9 +214,16 @@ def test_pairing_table_matches_direct(monkeypatch, p):
     sets.append(rows)
     assert len(sets) == 5
     forms = all_forms_array(p)
+    default = vectorized._CHUNK_ENTRIES
     for r in sets:
         table = vectorized._pairing_table(p, r)
-        assert np.array_equal(table, vectorized._fibre_product(p, r, forms))
+        # on a prefix of the forms, one form per chunk, and a budget of 10^4
+        # entries, whose chunks of 3 to 322 forms leave a ragged last chunk
+        # of the first 1000; then all forms at the default budget, which
+        # the gather below runs at too
+        for budget, k in ((1, 300), (10**4, 1000), (default, len(forms))):
+            monkeypatch.setattr(vectorized, "_CHUNK_ENTRIES", budget)
+            assert np.array_equal(table[:k], vectorized._fibre_product(p, r, forms[:k]))
     assert table[0, 0] == len(rows)  # the zero form pairs every row to 0, repeats counted
     # the gather, on forms out of order
     shuffled = np.random.default_rng(p).permutation(forms)
@@ -312,6 +340,30 @@ def test_zero_pairings_exact_range():
         for f in forms.tolist()
     ]
     assert vectorized._zero_pairings(p, rows, forms).tolist() == expected == [1, 2]
+
+
+def test_fibre_product_exact_range():
+    # indices reach step * m, m = p (5 (p-1)^2 // p + 1), in float32: 1831
+    # is the largest prime whose m fits 2^24, 1847 the least that does not
+    with pytest.raises(RuntimeError, match="float32"):
+        vectorized._fibre_product(1847, None, None)  # raised before the rows are read
+    p = 1831
+    w = [12, 3, 2, 3, 12]
+    top = [-pow(v, -1, p) % p for v in w]  # weighted to p - 1 in every slot
+    odd = [-2 * pow(w[0], -1, p) % p] + top[1:]  # weighted to p - 2, then p - 1
+    # the last row is unreduced far past float32's range: it is reduced exactly
+    big = [p * 2**50 + top[0], -(2**62) + 1, 2**62 + 7, -p, 3 * 2**40]
+    rows = np.array([top, odd, [0] * 5, [1, 0, 0, 0, 0], big], dtype=np.int64)
+    # the first form takes the top dot product 5 (p-1)^2; in a chunk shared
+    # with it, the second would sit at offset m, and the odd row's index
+    # m + (p-2)(5p-6) is odd and past 2^24, where float32 would round it
+    forms = np.array([[p - 1] * 5, [p - 2] * 5], dtype=np.int64)
+    fibres = vectorized._fibre_product(p, rows, forms)
+    expected = np.zeros((2, p), dtype=np.int64)
+    for k, f in enumerate(forms.tolist()):
+        for h in rows.tolist():
+            expected[k, sum(a * b * c for a, b, c in zip(w, h, f)) % p] += 1
+    assert np.array_equal(fibres, expected)
 
 
 def test_box_coeff_array():
