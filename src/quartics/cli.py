@@ -28,7 +28,7 @@ from .schemes import (
 )
 from .vectorized import (
     all_forms_array,
-    check_singular_size,
+    check_oracle_size,
     closed_n_batch,
     oracle_n_batch,
     trace_table,
@@ -56,17 +56,6 @@ def _primes_in(lo_exclusive: int, hi_inclusive: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # verify-theorem
-
-
-def _check_exhaustive_size(p: int) -> None:
-    """Raise ValueError, allocating nothing, when the exhaustive sweep at p
-    would pass 2 GiB.  Its peak is about 31 p^6 bytes above the import
-    (measured at p = 11, 13 and 17), set by the (p^5, p) pairing table that
-    oracle_n_batch builds for all p^5 forms.  Primes up to 19 pass."""
-    if 31 * p**6 > 2**31:
-        raise ValueError(
-            f"the exhaustive sweep at p={p} needs about {31 * p**6 / 2**30:.1f} GiB, past 2 GiB"
-        )
 
 
 def _verify_prime(p: int, samples: int | None, seed: int) -> dict:
@@ -108,9 +97,8 @@ def cmd_verify_theorem(ns) -> int:
     if sa_primes and ns.samples < 1:
         return _usage_error("verify-theorem", "--samples must be at least 1")
     try:
-        check_singular_size(max(ex_primes + sa_primes))
-        if ex_primes:
-            _check_exhaustive_size(ex_primes[-1])
+        for p in ex_primes + sa_primes:  # all p^5 forms, or --samples of them
+            check_oracle_size(p, p**5 if p in ex_primes else ns.samples)
     except ValueError as exc:
         return _usage_error("verify-theorem", exc)
     exhaustive = [_verify_prime(p, None, ns.seed) for p in ex_primes]
@@ -142,7 +130,7 @@ def cmd_fourier(ns) -> int:
     try:
         coeffs = _query_form(ns)
         if ns.method != "closed":
-            check_singular_size(ns.p)
+            check_oracle_size(ns.p, 1)
     except ValueError as exc:
         return _usage_error("fourier", exc)
     payload = {"command": "fourier", "p": ns.p, "form": format_form(coeffs), "method": ns.method}
@@ -220,7 +208,10 @@ def cmd_box_sum(ns) -> int:
 def cmd_singular_count(ns) -> int:
     if ns.rmax < 1:
         return _usage_error("singular-count", "--rmax must be at least 1")
-    exhaustive, parametrized = experiments.singular_lattice_count(ns.rmax)
+    try:
+        exhaustive, parametrized = experiments.singular_lattice_count(ns.rmax)
+    except ValueError as exc:
+        return _usage_error("singular-count", exc)
     rows = [
         {"r": r, "parametrized": b, "ratio_r2": b / (r * r), "exhaustive": exhaustive[r]}
         for r, b in enumerate(parametrized[1:], start=1)

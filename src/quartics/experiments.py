@@ -44,7 +44,7 @@ from .forms import (
 )
 from .elliptic import S_MODULUS
 from .intfactor import factorize, primes_below
-from .vectorized import chi_array, closed_n_batch, proportional
+from .vectorized import check_memory, chi_array, closed_n_batch, proportional
 
 __all__ = [
     "F0",
@@ -109,12 +109,22 @@ def box_sum(Q: int, r: int) -> BoxSumResult:
     integer numerators are int64 dot products; each is checked first
     against max |n| per prime and the total weight, which bounds the
     family sub-sum too, and a bound beyond int64 raises ValueError.
+
+    Its peak is about (17 + s) (2r+1)^5 bytes for s shared primes, each of
+    whose |n| vectors takes (2r+1)^5 bytes: VmHWM rose 14 to 17 + s bytes
+    per box point at r = 12 (Q = 20 to 160, s = 2 to 16), 16 and 18 (Q =
+    80, s = 9), set in the prime loop as those vectors pile up (the
+    representatives' build reached 13).  A box past 2 GiB raises
+    ValueError before the sweep.
     """
     if r < 1:
         raise ValueError("positive half-width required")
     if Q <= r:
         raise ValueError("Q > r required")
     qs = _squarefree_moduli(Q, 2 * Q)
+    q_parts = {q: sorted(p for p in factorize(q).factors if p > 3) for q in qs}
+    shared = {p for ps in q_parts.values() if len(ps) > 1 for p in ps}
+    check_memory((17 + len(shared)) * (2 * r + 1) ** 5, f"the box sum at Q={Q}, r={r}")
     slabs = [(np.stack(cols, axis=1), w) for _, cols, w in _orbit_slabs(r, negate=True)]
     reps = np.concatenate([rows for rows, _ in slabs])
     w = np.concatenate([w for _, w in slabs])
@@ -125,8 +135,6 @@ def box_sum(Q: int, r: int) -> BoxSumResult:
     cand = np.flatnonzero(disc27(i, j) == 0)
     fam = cand[_family_member(tuple(reps[cand].T), i[cand], j[cand])]
     fam_w = w[fam]
-    q_parts = {q: sorted(p for p in factorize(q).factors if p > 3) for q in qs}
-    shared = {p for ps in q_parts.values() if len(ps) > 1 for p in ps}
     absn: dict[int, np.ndarray] = {}  # |n| on the representatives, primes in shared
     nmax: dict[int, int] = {}  # max |n|, for the int64 headroom checks
     sums: dict[int, int] = {}  # |n| summed over the nonzero rows
@@ -243,7 +251,13 @@ def family_counts_by_radius(rmax: int) -> list[int]:
     y -> -y and f -> -f, so the scan runs over the 8-fold orbit
     representatives, one slab at a time: a vectorized Disc = 0 prefilter,
     _family_member on its survivors in batch, and a histogram of max |a_i|
-    over the members weighted by orbit size, summed cumulatively."""
+    over the members weighted by orbit size, summed cumulatively.
+
+    Its peak is the largest slab's, a0 = -rmax: about 160 bytes for each
+    of its (rmax+1)(2rmax+1)^3 grid rows (VmHWM rose 155 to 159 at rmax =
+    8, 12, 16 and 20).  A scan past 2 GiB raises ValueError before it
+    starts."""
+    check_memory(160 * (rmax + 1) * (2 * rmax + 1) ** 3, f"the singular count at rmax={rmax}")
     hist = np.zeros(rmax + 1, dtype=np.int64)
     for _, cols, w in _orbit_slabs(rmax, negate=True):
         i, j = invariants_raw(cols)

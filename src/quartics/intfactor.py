@@ -25,6 +25,7 @@ _MR_TIERS = (
     (318665857834031151167461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
     (3317044064679887385961981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
 )
+_TRIAL_BUDGET = 10**6  # factorize's trial-division bound
 
 
 def is_prime(n: int) -> bool:
@@ -85,8 +86,8 @@ class FactorResult(NamedTuple):
         return all(e == 1 for e in self.factors.values())
 
 
-def factorize(n: int, trial_bound: int = 10**6) -> FactorResult:
-    """Factor |n| by trial division up to min(trial_bound, 10^7), n != 0.
+def factorize(n: int) -> FactorResult:
+    """Factor |n| by trial division up to _TRIAL_BUDGET, n != 0.
 
     A cofactor above that budget squared is tested with deterministic
     Miller-Rabin; if it is composite the result is flagged incomplete
@@ -98,7 +99,7 @@ def factorize(n: int, trial_bound: int = 10**6) -> FactorResult:
         raise ValueError("cannot factor 0")
     n = abs(n)
     factors: dict[int, int] = {}
-    budget = min(trial_bound, 10**7)
+    budget = _TRIAL_BUDGET
     for q in primes_below(min(budget, 1 << isqrt(n).bit_length()) + 1):
         if q * q > n:
             break

@@ -24,17 +24,17 @@ into one preallocated array beside p^4-entry grids: four uint8, one uint16.
 
 The pairing table (_pairing_table) holds the fibres of every one of the
 p^5 forms at once: p^6 float64 entries, 0.9 MB at p = 7, 14 MB at p = 11
-and 39 MB at p = 13, up to three such arrays during a stage, and a
-(p^5, p) int64 result of the same size.  Its entries count rows, so they
+and 39 MB at p = 13, at most two such arrays at a time (an int64 one
+last), and beside them the BLAS buffers.  Its entries count rows, so they
 are integers at most the number of rows and every BLAS sum is exact; each
-table row must sum to that number, which is checked.  _table_rows takes
-the table when |rows| |forms| >= p^8, that is when its 5 p^8
-multiply-adds are no more than the direct product's.  The rule errs
-towards the direct path: on one BLAS thread (2 vCPU), the table already
-won from 51, 284 and 2,009 forms for the full fibres over the singular
-set at p = 5, 7 and 11 (the rule: 539, 2,139 and 13,523), and from 335,
-1,221 and 10,380 forms for the zero pairings against the projective
-representatives (the rule: 2,158, 12,839 and 135,242).
+table row must sum to that number, which is checked.  The one table
+rule, _takes_table, takes it when |rows| |forms| >= p^8, where its 5 p^8
+multiply-adds are no more than the direct product's.  It errs towards the
+direct path: on one BLAS thread (2 vCPU), over the singular set at p = 5,
+7 and 11 (the rule: 539, 2,140 and 13,524 forms), the table already won
+from 51, 284 and 2,009 forms for the full fibres and from about 120, 250
+and 800 to 1,300 for the zero pairings.  check_oracle_size, the one
+memory guard of an oracle query, bounds the singular set and the table.
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ from .ffarith import check_prime, chi12, proj_reps
 from .forms import disc27, form_product, hessian_mod, invariants_raw
 
 __all__ = [
-    "check_singular_size",
+    "check_memory",
+    "check_oracle_size",
     "singular_coeff_array",
-    "singular_proj_array",
     "all_forms_array",
     "chi_array",
     "trace_table",
@@ -80,15 +80,19 @@ def all_forms_array(p: int) -> np.ndarray:
     return np.stack([(idx // p ** (4 - k)) % p for k in range(5)], axis=1)
 
 
-def check_singular_size(p: int) -> None:
-    """Raise ValueError, allocating nothing, when an oracle query at p
-    would pass 2 GiB.  Its peak, 78 to 85 p^4 bytes at p = 23 to 43, is the
-    build of the singular set beside the previous prime's set, which the
-    cache holds until the new one is stored.  Primes up to 67 pass."""
-    if 85 * p**4 > 2**31:
-        raise ValueError(
-            f"the singular set at p={p} needs about {85 * p**4 / 2**30:.1f} GiB, past 2 GiB"
-        )
+def check_memory(nbytes: int, what: str) -> None:
+    """Raise ValueError when a stage's estimated peak, nbytes, passes 2 GiB."""
+    if nbytes > 2**31:
+        raise ValueError(f"{what} needs about {nbytes / 2**30:.1f} GiB, past 2 GiB")
+
+
+def check_oracle_size(p: int, forms: int = 0) -> None:
+    """Raise ValueError, allocating nothing, when an oracle query of that
+    many forms at p would pass 2 GiB: the singular set's build, 78 to 85
+    p^4 bytes at p = 23 to 43 beside the previous prime's cached set (so
+    p <= 67), or the pairing table that _takes_table takes over the set."""
+    check_memory(85 * p**4, f"the singular set at p={p}")
+    _takes_table(p, p**4 + p**3 - p**2, forms)
 
 
 @lru_cache(maxsize=1)  # a sweep visits each prime once, in ascending order
@@ -100,14 +104,14 @@ def singular_coeff_array(p: int) -> np.ndarray:
     invariants_raw runs on each a1's (a2, a3, a4) grid at a0 = 0 and 1,
     filling uint8 (p, p, p, p) grids of (I, J) mod p and their a0-steps;
     each next slab adds the steps and wraps (x + dx < 2p < 256 within
-    check_singular_size's bound).  A slab's hits, the uint16 cell codes
+    check_oracle_size's bound).  A slab's hits, the uint16 cell codes
     I*p + J set in one p x p table of 4I^3 = J^2, come from np.flatnonzero
     in lexicographic order, decoded straight into the preallocated result.
-    Raises ValueError past check_singular_size's bound, and RuntimeError
+    Raises ValueError past check_oracle_size's bound, and RuntimeError
     before a slab would write past its end and when the hits leave it short.
     """
     check_prime(p, min_exclusive=3)
-    check_singular_size(p)
+    check_oracle_size(p)
     size = p**4 + p**3 - p**2
     grid = np.ix_(*[np.arange(p, dtype=np.int64)] * 3)
     i, j, di, dj = np.empty((4,) + (p,) * 4, dtype=np.uint8)
@@ -135,19 +139,6 @@ def singular_coeff_array(p: int) -> np.ndarray:
         raise RuntimeError(f"singular count mismatch at p={p}: {start}")
     out.flags.writeable = False
     return out
-
-
-@lru_cache(maxsize=12)
-def singular_proj_array(p: int) -> np.ndarray:
-    """Canonical representatives (first nonzero coordinate 1) of X(F_p)."""
-    sing = singular_coeff_array(p)
-    nz = sing != 0
-    first = np.argmax(nz, axis=1)
-    lead = sing[np.arange(len(sing)), first]
-    keep = (lead == 1) & nz.any(axis=1)
-    reps = sing[keep]
-    reps.flags.writeable = False
-    return reps
 
 
 @lru_cache(maxsize=_PRIME_TABLES)
@@ -207,18 +198,30 @@ def _pairing_table(p: int, rows: np.ndarray) -> np.ndarray:
     w, s, f, t = np.ix_(*[np.arange(p)] * 4)
     for c in _PAIRING_WEIGHTS[::-1]:
         stage = ((s + c * f * w - t) % p == 0).reshape(p * p, p * p).astype(np.float64)
-        table = (table.reshape(q, p * p) @ stage).reshape(q, p, p).transpose(1, 0, 2)
-    table = table.reshape(p * q, p).astype(np.int64)
+        table = table.reshape(q, p * p)  # past stage 1 a copy, freeing the old table first
+        table = (table @ stage).reshape(q, p, p).transpose(1, 0, 2)
+    table = table.reshape(p * q, p)
+    table = table.astype(np.int64)
     if np.any(table.sum(axis=1) != len(rows)):
         raise RuntimeError(f"pairing table at p={p} does not conserve the row count")
     return table
 
 
+def _takes_table(p: int, rows: int, forms: int) -> bool:
+    """The table rule: _pairing_table's 5 p^8 multiply-adds are no more
+    than the direct product's rows * forms.  Raises ValueError when it takes
+    a table past 2 GiB, about 31 p^6 bytes (p > 19): an oracle query that
+    took one rose 19 to 29 p^6 at p = 11 to 17, on two BLAS threads."""
+    if rows * forms < p**8:
+        return False
+    check_memory(31 * p**6, f"the pairing table at p={p}")
+    return True
+
+
 def _table_rows(p: int, rows: np.ndarray, forms: np.ndarray) -> np.ndarray | None:
     """The rows of _pairing_table(p, rows) at the forms (reduced mod p),
-    when the table's 5 p^8 multiply-adds cost no more than the direct
-    product's |rows| |forms| dot products; else None."""
-    if len(rows) * len(forms) < p**8:
+    when _takes_table takes the table; else None."""
+    if not _takes_table(p, len(rows), len(forms)):
         return None
     return _pairing_table(p, rows)[forms @ p ** np.arange(4, -1, -1)]
 
@@ -282,10 +285,14 @@ def _fibre_product(p: int, rows: np.ndarray, forms: np.ndarray) -> np.ndarray:
 
 
 def count_xf_batch(p: int, forms: np.ndarray) -> np.ndarray:
-    """#X^f(F_p) for every row: zero pairings against the canonical
-    representatives of the projectivized singular locus."""
+    """#X^f(F_p) = (N0 - 1)/(p - 1) for every row, N0 = #{singular w :
+    [w, f] = 0}: the singular set is the cone {0} u F_p^x X(F_p).  Raises
+    RuntimeError where p - 1 does not divide N0 - 1."""
     check_prime(p, min_exclusive=3)
-    return _zero_pairings(p, singular_proj_array(p), forms)
+    n0 = _zero_pairings(p, singular_coeff_array(p), forms)
+    if np.any((n0 - 1) % (p - 1)):
+        raise RuntimeError("(p-1) does not divide N0 - 1")
+    return (n0 - 1) // (p - 1)
 
 
 def oracle_n_batch(p: int, forms: np.ndarray) -> np.ndarray:

@@ -217,17 +217,40 @@ def test_usage_error_exit_two():
         ["census", "--coeff-bound", "1", "--height", "0"],  # admits no form
         ["box-sum", "--q", "3", "--r", "5"],  # Q <= r
         ["census", "--coeff-bound", "2", "--height", "1"],  # forces Disc = 0
+        ["box-sum", "--q", "80", "--r", "19"],  # past 2 GiB with its 9 shared primes
+        ["singular-count", "--rmax", "36"],  # its largest slab past 2 GiB
     ],
 )
-def test_bad_experiment_bounds_exit_two(argv):
-    proc = subprocess.run(
-        [sys.executable, "-m", "quartics.cli", *argv],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert len(proc.stderr.strip().splitlines()) == 1
+def test_bad_experiment_bounds_exit_two(argv, capsys, monkeypatch):
+    # refused before any sweep of a box starts
+    def unreachable(*args, **kwargs):
+        raise AssertionError("sweep reached")
+
+    for name in ("_orbit_slabs", "family_x_forms_in_box", "census"):
+        monkeypatch.setattr(experiments, name, unreachable)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_experiment_size_bounds_at_their_edges(monkeypatch):
+    # the largest boxes that pass reach the sweep; one step up is refused
+    class Reached(Exception):
+        pass
+
+    def sweep(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(experiments, "_orbit_slabs", sweep)
+    for run, ok, big in (
+        (lambda r: experiments.box_sum(80, r), 18, 19),
+        (experiments.singular_lattice_count, 35, 36),
+    ):
+        with pytest.raises(Reached):
+            run(ok)
+        with pytest.raises(ValueError, match="past 2 GiB"):
+            run(big)
 
 
 def test_verify_theorem_without_primes_is_usage_error():
@@ -322,10 +345,14 @@ def test_singular_count_scans_each_box_once(capsys, monkeypatch):
         ["fourier", "--p", "101", "--form", "1,2,3,4,5", "--method", "both"],
         ["verify-theorem", "--exhaustive-pmax", "5", "--sampled-pmax", "101"],
         ["verify-theorem", "--exhaustive-pmax", "23"],  # the pairing table
+        # sampled forms that the rule sends to the p = 23 table
+        ["verify-theorem", "--exhaustive-pmax", "0", "--sampled-pmax", "23",
+         "--samples", "268668"],
     ],
 )
 def test_oversized_oracle_query_exits_two(argv, capsys, monkeypatch):
-    # refused from p alone: neither the singular set nor the sweep starts
+    # refused from p and the form count: neither the singular set nor the
+    # sweep starts
     def unreachable(*args):
         raise AssertionError("allocation reached")
 
@@ -335,13 +362,6 @@ def test_oversized_oracle_query_exits_two(argv, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert len(err.strip().splitlines()) == 1 and "past 2 GiB" in err
-
-
-def test_exhaustive_size_bound():
-    # about 31 p^6 bytes: p = 19 needs 1.4 GiB, p = 23 needs 4.3 GiB
-    cli._check_exhaustive_size(19)
-    with pytest.raises(ValueError, match="past 2 GiB"):
-        cli._check_exhaustive_size(23)
 
 
 # sha256 of the stdout of five bench commands: a change to the engines

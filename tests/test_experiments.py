@@ -23,7 +23,7 @@ from quartics.experiments import (
     singular_lattice_count,
     write_census_csv,
 )
-from quartics import experiments
+from quartics import experiments, intfactor
 from quartics.experiments import (
     _abs_disc_of_keys,
     _aggregate_from_rows,
@@ -67,7 +67,7 @@ def test_omega_examples():
     assert (r.omega, r.squarefree, r.complete) == (0, True, True)
     with pytest.raises(ValueError):
         factorize(0)
-    incomplete = factorize(1000003 * 1000033, trial_bound=1000)
+    incomplete = factorize(1000003 * 1000033)
     assert not incomplete.complete
     om, sq = _batch_omega_squarefree(np.array([91, 12, 1], dtype=np.int64))
     assert om.tolist() == [2, 3, 0] and sq.tolist() == [True, False, True]
@@ -347,7 +347,7 @@ def test_census_row_f0():
 def test_census_row_incomplete_factoring_is_not_squarefree(monkeypatch):
     # Disc(F0)/2^20 = -91: with trial division by 2 alone, 91 is an
     # unfactored composite, and the row must not read as squarefree
-    monkeypatch.setattr(experiments, "factorize", lambda n: factorize(n, trial_bound=2))
+    monkeypatch.setattr(intfactor, "_TRIAL_BUDGET", 2)
     row = census_row(F0)
     assert not row.omega_complete and not row.squarefree
 

@@ -161,8 +161,8 @@ def test_factorize():
     assert r.factors == {7: 1, 13: 1} and r.complete and r.squarefree
     r = factorize(12)
     assert r.omega == 3 and not r.squarefree
-    big = 1000003 * 1000033
-    r = factorize(big, trial_bound=1000)
+    big = 1000003 * 1000033  # both factors past the trial budget, 10^6; big past its square
+    r = factorize(big)
     assert not r.complete and r.cofactor == big
 
 

@@ -1,7 +1,9 @@
 """The numpy engines must agree with the scalar contract implementations."""
 
 import hashlib
-import random
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -34,7 +36,6 @@ from quartics.vectorized import (
     proportional,
     scheme_counts_batch,
     singular_coeff_array,
-    singular_proj_array,
     trace_table,
     x1212_batch,
 )
@@ -60,9 +61,11 @@ def test_singular_sets():
         forms = all_forms_array(p)
         i, j = invariants_raw(tuple(forms.T))
         assert np.array_equal(sing, forms[(4 * i**3 - j * j) % p == 0])
-        reps = singular_proj_array(p)
+        # the cone {0} u F_p^x X(F_p) that count_xf_batch reads #X^f from
+        reps = np.array(singular_proj_reps(p), dtype=np.int64)
         assert len(reps) == p**3 + 2 * p**2 + p + 1
-        assert set(map(tuple, reps)) == set(singular_proj_reps(p))
+        cone = (np.arange(1, p)[:, None, None] * reps % p).reshape(-1, 5)
+        assert np.array_equal(np.sort(cone @ p ** np.arange(4, -1, -1)), keys[1:])
 
 
 def test_singular_sets_pinned():
@@ -80,9 +83,8 @@ def test_singular_sets_pinned():
 
 def test_singular_sets_are_read_only():
     # the cached arrays are shared by every later oracle call
-    for arr in (singular_coeff_array(5), singular_proj_array(5)):
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0, 0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        singular_coeff_array(5)[0, 0] = 1
 
 
 @pytest.mark.parametrize(
@@ -98,11 +100,24 @@ def test_singular_set_checks_its_size(monkeypatch, wrong):
         singular_coeff_array.__wrapped__(5)  # past the cache
 
 
-def test_singular_size_bound():
-    # about 85 p^4 bytes: p = 67 needs 1.6 GiB, p = 71 needs 2.0 GiB
-    vectorized.check_singular_size(67)
-    with pytest.raises(ValueError, match="past 2 GiB"):
-        vectorized.check_singular_size(71)
+def test_oracle_size_bound(monkeypatch):
+    # the singular set takes about 85 p^4 bytes: 1.6 GiB at p = 67, 2.0 GiB
+    # at p = 71; the pairing table about 31 p^6: 1.4 GiB at p = 19, 4.3 GiB
+    # at p = 23, where the rule takes it from 268,668 forms (268,668 *
+    # 291,479 >= 23^8) and leaves 268,667 on the direct path
+    def unreachable(*args):
+        raise AssertionError("allocation reached")
+
+    monkeypatch.setattr(vectorized, "_pairing_table", unreachable)
+    for p, forms in ((19, 19**5), (67, 200), (23, 268_667)):
+        vectorized.check_oracle_size(p, forms)
+    for p, forms in ((23, 23**5), (23, 268_668), (71, 1)):
+        with pytest.raises(ValueError, match="past 2 GiB"):
+            vectorized.check_oracle_size(p, forms)
+    # and _table_rows itself, for any row set, before the table is built
+    rows = np.broadcast_to(np.zeros(5, dtype=np.int64), (23**4, 5))
+    with pytest.raises(ValueError, match="pairing table at p=23"):
+        vectorized._table_rows(23, rows, rows)
 
 
 def test_chi_table():
@@ -160,8 +175,8 @@ def test_closed_batch_sampled(p):
 def test_oracle_cone_identity(p):
     # the singular set S is {0} u F_p^x X(F_p), so N0 = 1 + (p-1) #X^f and
     # the oracle's n = N0 - (|S| - N0)/(p-1) gives
-    # (p-1) n + |S| = p (1 + (p-1) #X^f): the full fibres against the
-    # projective representatives' zero pairings
+    # (p-1) n + |S| = p (1 + (p-1) #X^f): the oracle's full fibres against
+    # count_xf_batch's zero pairings, two kernels over the one singular set
     if p <= 7:
         forms = all_forms_array(p)
     else:
@@ -200,8 +215,8 @@ def test_oracle_fibre_check_rejects_a_nonsingular_row(monkeypatch):
 
 @pytest.mark.parametrize("p", [5, 7])
 def test_pairing_table_matches_direct(monkeypatch, p):
-    # every row set the kernels are given: the singular set, and through
-    # scheme_counts_batch the projective singular representatives and the
+    # every distinct row set the kernels are given: the singular set, which
+    # count_xf_batch pairs against too, and through scheme_counts_batch the
     # X_{2^2} and X_{1^2 1^2} rows; then a set with a row twice over and
     # an unreduced row that breaks the x <-> y symmetry of the others
     sets, kernel = [singular_coeff_array(p)], vectorized._zero_pairings
@@ -209,10 +224,11 @@ def test_pairing_table_matches_direct(monkeypatch, p):
         vectorized, "_zero_pairings", lambda q, rows, f: sets.append(rows) or kernel(q, rows, f)
     )
     count_xf_batch(p, all_forms_array(p)[1:2])
+    assert sets.pop() is sets[0]
     scheme_counts_batch(p, all_forms_array(p)[1:2])
     rows = np.concatenate([sets[0], sets[0][:1], [[p + 1, -1, 0, 2 * p, 3]]])
     sets.append(rows)
-    assert len(sets) == 5
+    assert len(sets) == 4
     forms = all_forms_array(p)
     default = vectorized._CHUNK_ENTRIES
     for r in sets:
@@ -257,6 +273,36 @@ def test_table_selection_by_input_size(monkeypatch):
     assert built == []
 
 
+_PEAK_SCRIPT = """
+import numpy as np
+from quartics import vectorized
+
+def status(key):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith(key)) * 1024
+
+built, table = [], vectorized._pairing_table
+vectorized._pairing_table = lambda p, rows: built.append(p) or table(p, rows)
+p = 13
+forms = np.random.default_rng(p).integers(0, p, size=(26_668, 5), dtype=np.int64)
+rss = status("VmRSS:")
+vectorized.oracle_n_batch(p, forms)
+print(status("VmHWM:") - rss, len(built))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_sampled_table_peak_within_its_bound():
+    # 26,668 forms * 30,589 singular rows >= 13^8: the rule's threshold,
+    # where a sampled query first takes the table.  Its whole rise, the
+    # singular set's build included, stays within _takes_table's 31 p^6
+    proc = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    rise, tables = map(int, proc.stdout.split())
+    assert tables == 1
+    assert rise <= 31 * 13**6
+
+
 @pytest.mark.parametrize("p", [5, 7, 11, 61])
 def test_x1212_batch_vs_scalar(p):
     forms = np.random.default_rng(p).integers(0, p, size=(40, 5), dtype=np.int64)
@@ -267,13 +313,20 @@ def test_x1212_batch_vs_scalar(p):
 
 
 def test_count_xf_batch():
-    rng = random.Random(5)
-    for p in (5, 7):
-        cs = [tuple(rng.randrange(p) for _ in range(5)) for _ in range(12)]
-        cs = [c for c in cs if any(c)]
-        batch = count_xf_batch(p, np.array(cs, dtype=np.int64))
-        for k, c in enumerate(cs):
-            assert batch[k] == count_Xf(QuarticForm(*c, p=p))
+    # every nonzero form at p = 5, through the pairing table
+    p = 5
+    forms = all_forms_array(p)[1:]
+    expected = [count_Xf(QuarticForm(*c, p=p)) for c in forms.tolist()]
+    assert count_xf_batch(p, forms).tolist() == expected
+
+
+def test_count_xf_batch_checks_the_cone(monkeypatch):
+    # one singular row dropped: N0 - 1 is no longer a multiple of p - 1
+    # for the forms that pair it to zero
+    sing = singular_coeff_array(5)[:-1]
+    monkeypatch.setattr(vectorized, "singular_coeff_array", lambda q: sing)
+    with pytest.raises(RuntimeError, match="does not divide"):
+        count_xf_batch(5, all_forms_array(5)[1:])
 
 
 @settings(deadline=None, max_examples=60)
@@ -307,7 +360,7 @@ def test_scheme_counts_batch_x122_exhaustive(p):
 @pytest.mark.parametrize("p", [5, 7])
 def test_zero_pairings_across_chunk_edges(monkeypatch, p, budget):
     # 100 entries hold two or three forms' worth of the X_{1^2 1^2} and
-    # X_{2^2} rows at p = 5 but less than the singular representatives, so
+    # X_{2^2} rows at p = 5 but less than the singular set, so
     # count_xf_batch runs one form per chunk; budget 1 does that everywhere
     monkeypatch.setattr(vectorized, "_CHUNK_ENTRIES", budget)
     rng = np.random.default_rng(budget + p)
