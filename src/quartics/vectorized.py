@@ -11,16 +11,18 @@ carries each form's bincount offset, and _fibre_product sizes its float32
 chunks so that its largest index is below 2^24.  The scalar/vectorized
 agreement is itself part of the test suite.
 
-Memory discipline, per chunk: a pairing product holds at most
-_CHUNK_ENTRIES (2^19) float64 entries and a fibre product as many float32
-ones, unless one form alone needs more (then one form per chunk, one
-entry per row: p^4 + p^3 - p^2 for the fibres).  Their int32 and int64
-copies take half and twice as much again, and a fibre histogram has k*m
-bins for k forms, m < 5p^2 + p.  Beyond those, memory is the size of the
-inputs and outputs: a row set (p^5 x 5 for all_forms_array, a
-(2r+1)^5 x 5 box), a few row-length vectors, and the one cached
-singular set of about p^4 rows, 5.5 MB at p = 19, written slab by slab
-into one preallocated array beside p^4-entry grids: four uint8, one uint16.
+Memory discipline: the direct kernels walk their rows in tiles
+(_pairing_products) inside one buffer budget, allocated once per call: a
+product of at most _CHUNK_ENTRIES (2^16) entries, float32 for the fibres
+and float64 for the zero pairings, its int64 or int32 cast, and one
+weighted tile of _CHUNK_ENTRIES / 8 rows; a fibre histogram has k*m bins
+for k forms, m < 5p^2 + p.  No full-length copy of the rows is made.
+Beyond those, memory is the size of the inputs and outputs: a row set
+(p^5 x 5 for all_forms_array, a (2r+1)^5 x 5 box), a few form-length
+vectors, and the one cached singular set of about p^4 uint8 rows, 5 B
+each (0.7 MB at p = 19), written slab by slab into one preallocated array
+beside p^4-entry grids: four uint8, one uint16.  So the set's build sets
+an oracle query's peak, which check_oracle_size bounds at 22 p^4 bytes.
 
 The pairing table (_pairing_table) holds the fibres of every one of the
 p^5 forms at once: p^6 float64 entries, 0.9 MB at p = 7, 14 MB at p = 11
@@ -64,12 +66,13 @@ __all__ = [
     "box_coeff_array",
 ]
 
-_CHUNK_ENTRIES = 1 << 19  # entries per pairing or fibre-product chunk
+_CHUNK_ENTRIES = 1 << 16  # entries per pairing or fibre-product chunk
 _PAIRING_WEIGHTS = np.array([12, 3, 2, 3, 12], dtype=np.int64)  # forms.pairing12's
 # Per-prime tables cached: the 35 primes 5..157 that divide the moduli of
-# box_sum(80, r), the largest Q of the box-sum grid.  At p = 157 a
-# trace_table holds 8p^2 B = 197 KB and a _case_tables pair 9p^2 B = 222 KB,
-# 4.5 MB for all 35 of both; a chi_array holds 8p B.
+# box_sum(80, r), the largest Q of the box-sum grid.  A trace_table holds
+# 8p^2 B and a _case_tables pair 9p^2 B (at p = 157, 4.5 MB for all 35 of
+# both); a chi_array holds 8p B.  box_sum refuses a Q whose caches would
+# pass 2 GiB.
 _PRIME_TABLES = 35
 
 
@@ -88,17 +91,20 @@ def check_memory(nbytes: int, what: str) -> None:
 
 def check_oracle_size(p: int, forms: int = 0) -> None:
     """Raise ValueError, allocating nothing, when an oracle query of that
-    many forms at p would pass 2 GiB: the singular set's build, 78 to 85
-    p^4 bytes at p = 23 to 43 beside the previous prime's cached set (so
-    p <= 67), or the pairing table that _takes_table takes over the set."""
-    check_memory(85 * p**4, f"the singular set at p={p}")
+    many forms at p would pass 2 GiB: the singular set's build beside the
+    previous prime's cached set, which sets the peak of 200 forms through
+    oracle_n_batch or count_xf_batch at 21.3, 21.1 and 19.3 p^4 bytes at
+    p = 37, 43 and 61 (so p <= 97, within the build's p <= 127), or the
+    pairing table that _takes_table takes over the set."""
+    check_memory(22 * p**4, f"the singular set at p={p}")
     _takes_table(p, p**4 + p**3 - p**2, forms)
 
 
 @lru_cache(maxsize=1)  # a sweep visits each prime once, in ascending order
 def singular_coeff_array(p: int) -> np.ndarray:
-    """(p^4 + p^3 - p^2, 5) read-only array of all singular forms, zero row
-    included, in lexicographic order.
+    """(p^4 + p^3 - p^2, 5) read-only uint8 array of all singular forms,
+    zero row included, in lexicographic order.  Its entries are residues
+    below p; a caller casts before doing arithmetic on them.
 
     No monomial of I or J has a0 twice, so both are affine in a0:
     invariants_raw runs on each a1's (a2, a3, a4) grid at a0 = 0 and 1,
@@ -120,7 +126,7 @@ def singular_coeff_array(p: int) -> np.ndarray:
         i[a1], j[a1], di[a1], dj[a1] = i0 % p, j0 % p, (i1 - i0) % p, (j1 - j0) % p
     on_disc = (disc27(*np.indices((p, p), dtype=np.int64)) % p == 0).ravel()
     code = np.empty_like(i, dtype=np.uint16)
-    out = np.empty((size, 5), dtype=np.int64)
+    out = np.empty((size, 5), dtype=np.uint8)
     start = 0
     for a0 in range(p):
         np.multiply(i, p, out=code, dtype=np.uint16)
@@ -156,16 +162,18 @@ def trace_table(p: int) -> np.ndarray:
     """trace_table(p)[i, j] = trace of y^2 = x^3 - 3i x^2 + j^2 over F_p,
     for the (i, j) with j != 0 and 4i^3 != j^2; 0 elsewhere (unused slots).
 
-    The character sums come from one integer matrix product: with
+    The character sums come from one float32 BLAS product: with
     H[i, v] = #{x : x^3 - 3i x^2 = v} and C[v, s] = chi(v + s), the sum of
     chi(x^3 - 3i x^2 + s) over x is (H @ C)[i, s].
     Every entry is Hasse-checked: a^2 <= 4p.
     """
     check_prime(p, min_exclusive=3)
-    chi = chi_array(p)
+    chi = chi_array(p).astype(np.float32)
     i, x = np.indices((p, p), dtype=np.int64, sparse=True)
     hist = np.bincount((i * p + (x**3 - 3 * i * x * x) % p).ravel(), minlength=p * p)
-    sums = hist.reshape(p, p) @ chi[(i + x) % p]
+    # each sum and partial sum has at most p terms of 1, 0 or -1 (a row of
+    # H sums to p): exact in float32 for p < 2^24
+    sums = (hist.reshape(p, p).astype(np.float32) @ chi[(i + x) % p]).astype(np.int64)
     j = x
     tr = -np.take_along_axis(sums, j * j % p, axis=1)
     # disc27 takes i at the table's shape: a broadcast view, not a copy
@@ -210,8 +218,9 @@ def _pairing_table(p: int, rows: np.ndarray) -> np.ndarray:
 def _takes_table(p: int, rows: int, forms: int) -> bool:
     """The table rule: _pairing_table's 5 p^8 multiply-adds are no more
     than the direct product's rows * forms.  Raises ValueError when it takes
-    a table past 2 GiB, about 31 p^6 bytes (p > 19): an oracle query that
-    took one rose 19 to 29 p^6 at p = 11 to 17, on two BLAS threads."""
+    a table past 2 GiB, about 31 p^6 bytes (p > 19): an exhaustive oracle
+    query rose 20.9, 19.8 and 19.8 p^6 at p = 11, 13 and 17 on one BLAS
+    thread, and 28.9, 26.1 and 20.9 p^6 on two."""
     if rows * forms < p**8:
         return False
     check_memory(31 * p**6, f"the pairing table at p={p}")
@@ -219,68 +228,100 @@ def _takes_table(p: int, rows: int, forms: int) -> bool:
 
 
 def _table_rows(p: int, rows: np.ndarray, forms: np.ndarray) -> np.ndarray | None:
-    """The rows of _pairing_table(p, rows) at the forms (reduced mod p),
-    when _takes_table takes the table; else None."""
+    """_fold of the rows of _pairing_table(p, rows) at the forms (reduced
+    mod p), gathered one chunk of forms at a time, when _takes_table takes
+    the table; else None."""
     if not _takes_table(p, len(rows), len(forms)):
         return None
-    return _pairing_table(p, rows)[forms @ p ** np.arange(4, -1, -1)]
+    table = _pairing_table(p, rows)
+    keys = forms @ p ** np.arange(4, -1, -1)
+    out = np.empty((len(forms), 3), dtype=np.int64)
+    step = max(1, _CHUNK_ENTRIES // p)
+    for start in range(0, len(forms), step):
+        out[start : start + step] = _fold(table[keys[start : start + step]])
+    return out
+
+
+def _fold(fibres: np.ndarray) -> np.ndarray:
+    """(k, 3) int64: each fibre row's count at 0, and the least and the
+    greatest of its counts off 0."""
+    off = fibres[:, 1:]
+    return np.column_stack((fibres[:, 0], off.min(axis=1), off.max(axis=1)))
+
+
+def _pairing_products(p: int, rows: np.ndarray, forms: np.ndarray, dtype, itype, m: int = 0):
+    """Yield (start, prod) for every tile of rows and every chunk of forms
+    (reduced mod p): prod[k, h] = [w_h, f_{start+k}] as an integer
+    representative in [0, 5(p-1)^2], plus k*m, cast to itype.
+
+    Each tile of rows is reduced mod p as it is cast (exact for any integer
+    row), weighted by _PAIRING_WEIGHTS mod p into one dtype buffer, with a
+    ones row that meets the forms' offset column k*m when m is given.  A
+    tile holds an eighth of _CHUNK_ENTRIES rows, or all of them if fewer,
+    and a chunk as many forms as keep the product within _CHUNK_ENTRIES
+    entries, at least one and, when m is given, at most 2^24 / m: one dtype
+    BLAS product and its itype cast, in buffers allocated once.  The caller
+    checks that dtype holds every entry exactly."""
+    n, total = len(rows), len(forms)
+    tile = max(1, min(n, _CHUNK_ENTRIES // 8))
+    step = max(1, min(_CHUNK_ENTRIES // tile, total, 2**24 // m if m else total))
+    cols = np.empty((total, 6 if m else 5), dtype=dtype)
+    cols[:, :5] = forms
+    if m:
+        cols[:, 5] = np.arange(total) % step * m
+    ws = np.ones((cols.shape[1], tile), dtype=dtype)
+    prods, casts = np.empty(step * tile, dtype=dtype), np.empty(step * tile, dtype=itype)
+    for lo in range(0, n, tile):
+        t = min(tile, n - lo)
+        w = ws[:5, :t]
+        np.remainder(rows[lo : lo + t].T, p, out=w, casting="unsafe")
+        w *= _PAIRING_WEIGHTS[:, None]
+        w %= p
+        for start in range(0, total, step):
+            k = min(step, total - start)
+            prod, cast = prods[: k * t].reshape(k, t), casts[: k * t].reshape(k, t)
+            np.matmul(cols[start : start + k], ws[:, :t], out=prod)
+            np.copyto(cast, prod, casting="unsafe")
+            yield start, cast
 
 
 def _zero_pairings(p: int, rows: np.ndarray, forms: np.ndarray) -> np.ndarray:
     """For each form f, the number of rows h with [h, f] = 0 mod p.
 
-    Column 0 of the pairing table when _table_rows takes it.  Otherwise the
-    rows are weighted by _PAIRING_WEIGHTS mod p once, and each chunk of
-    forms is one float64 BLAS product of residues, of at most
-    _CHUNK_ENTRIES entries unless one form alone needs more.  Every dot
-    product is at most 5 (p-1)^2, checked to fit int32 before any product;
-    float64 holds it exactly."""
+    Column 0 of the pairing table when _table_rows takes it, else the
+    float64 products of _pairing_products, counted tile by tile.  Every dot
+    product is at most 5 (p-1)^2, checked to fit the int32 it is cast to
+    before any product; float64 holds it exactly."""
     if 5 * (p - 1) ** 2 > np.iinfo(np.int32).max:
         raise ValueError(f"pairings at p={p} exceed the int32 range")
     forms = np.asarray(forms, dtype=np.int64) % p
-    fibres = _table_rows(p, rows, forms)
-    if fibres is not None:
-        return fibres[:, 0].copy()
-    wr = (np.asarray(rows, dtype=np.int64) % p * _PAIRING_WEIGHTS % p).astype(np.float64)
-    out = np.empty(len(forms), dtype=np.int64)
-    step = max(1, _CHUNK_ENTRIES // max(len(wr), 1))
-    for start in range(0, len(forms), step):
-        stop = start + step
-        vals = (wr @ forms[start:stop].T.astype(np.float64)).astype(np.int32)
-        out[start:stop] = np.count_nonzero(vals % np.int32(p) == 0, axis=0)
+    folded = _table_rows(p, rows, forms)
+    if folded is not None:
+        return folded[:, 0].copy()
+    out = np.zeros(len(forms), dtype=np.int64)
+    for start, vals in _pairing_products(p, rows, forms, np.float64, np.int32):
+        vals %= np.int32(p)
+        out[start : start + len(vals)] += np.count_nonzero(vals == 0, axis=1)
     return out
 
 
 def _fibre_product(p: int, rows: np.ndarray, forms: np.ndarray) -> np.ndarray:
     """(len(forms), p) int64 fibres N[k, t] = #{w in rows : [w, f_k] = t},
-    forms reduced mod p, by one float32 BLAS product per chunk of forms.
+    forms reduced mod p, from the float32 products of _pairing_products.
 
-    The product gives every bincount index at once: the weighted rows, a
-    contiguous (6, n) block reduced mod p as it is cast, carry a ones row
-    and the forms a column of offsets k*m, so entry (k, w) is k*m plus a
-    representative of [w, f_k] in [0, 5(p-1)^2], below m.  Chunks of at
-    most 2^24 / m forms keep every sum exact.  m is a multiple of p, so the
-    (k, m) histogram folds into the (k, p) fibre histogram over m/p blocks.
-    The product and its int64 copy are allocated once per call."""
+    Each product holds every bincount index at once: entry (k, w) is k*m
+    plus a representative of [w, f_k] in [0, 5(p-1)^2], below m.  Chunks of
+    at most 2^24 / m forms keep every sum exact.  m is a multiple of p, so
+    each tile's (k, m) histogram folds into the (k, p) fibre histogram over
+    m/p blocks."""
     m = p * (5 * (p - 1) ** 2 // p + 1)
     if m > 2**24:
         raise RuntimeError(f"fibre indices at p={p} exceed the float32 exact range")
-    n = len(rows)
-    step = max(1, min(_CHUNK_ENTRIES // n, 2**24 // m, len(forms)))
-    ws = np.ones((6, n), dtype=np.float32)
-    np.remainder(rows.T, p, out=ws[:5], casting="unsafe")  # exact for any int64 row
-    ws[:5] *= _PAIRING_WEIGHTS[:, None]
-    ws[:5] %= p
-    prod = np.empty((step, n), dtype=np.float32)
-    idx = np.empty((step, n), dtype=np.int64)
-    out = np.empty((len(forms), p), dtype=np.int64)
-    for start in range(0, len(forms), step):
-        k = min(step, len(forms) - start)
-        fs = np.column_stack((forms[start : start + k], np.arange(k) * m)).astype(np.float32)
-        np.matmul(fs, ws, out=prod[:k])
-        np.copyto(idx[:k], prod[:k], casting="unsafe")
-        hist = np.bincount(idx[:k].ravel(), minlength=k * m)
-        out[start : start + k] = hist.reshape(k, m // p, p).sum(axis=1)
+    out = np.zeros((len(forms), p), dtype=np.int64)
+    for start, idx in _pairing_products(p, rows, forms, np.float32, np.int64, m):
+        k = len(idx)
+        hist = np.bincount(idx.ravel(), minlength=k * m)
+        out[start : start + k] += hist.reshape(k, m // p, p).sum(axis=1)
     return out
 
 
@@ -307,12 +348,11 @@ def oracle_n_batch(p: int, forms: np.ndarray) -> np.ndarray:
     check_prime(p, min_exclusive=3)
     sing = singular_coeff_array(p)
     forms = np.asarray(forms, dtype=np.int64) % p
-    fibres = _table_rows(p, sing, forms)
-    if fibres is None:
-        fibres = _fibre_product(p, sing, forms)
-    n0 = fibres[:, 0]
-    nonzero = fibres[:, 1:]
-    if np.any(nonzero.max(axis=1) != nonzero.min(axis=1)):
+    folded = _table_rows(p, sing, forms)
+    if folded is None:
+        folded = _fold(_fibre_product(p, sing, forms))
+    n0, least, greatest = folded.T
+    if np.any(least != greatest):
         raise RuntimeError("nonzero fibers differ: cone property violated")
     rest = len(sing) - n0
     if np.any(rest % (p - 1)):

@@ -218,6 +218,7 @@ def test_usage_error_exit_two():
         ["box-sum", "--q", "3", "--r", "5"],  # Q <= r
         ["census", "--coeff-bound", "2", "--height", "1"],  # forces Disc = 0
         ["box-sum", "--q", "80", "--r", "19"],  # past 2 GiB with its 9 shared primes
+        ["box-sum", "--q", "2000", "--r", "1"],  # its cached prime tables past 2 GiB
         ["singular-count", "--rmax", "36"],  # its largest slab past 2 GiB
     ],
 )
@@ -245,6 +246,7 @@ def test_experiment_size_bounds_at_their_edges(monkeypatch):
     monkeypatch.setattr(experiments, "_orbit_slabs", sweep)
     for run, ok, big in (
         (lambda r: experiments.box_sum(80, r), 18, 19),
+        (lambda q: experiments.box_sum(q, 1), 950, 951),  # the cached prime tables
         (experiments.singular_lattice_count, 35, 36),
     ):
         with pytest.raises(Reached):

@@ -101,8 +101,8 @@ def crt_brute_n35(f):
     exactly: fibers of the 12-scaled pairing over the singular set mod 35
     are constant on gcd classes, and the class sums of e(s/35) are the
     Mobius values 1, mu(5), mu(7), mu(35) = 1, -1, -1, 1."""
-    s5 = singular_coeff_array(5)
-    s7 = singular_coeff_array(7)
+    s5 = singular_coeff_array(5).astype(np.int64)  # cast before arithmetic
+    s7 = singular_coeff_array(7).astype(np.int64)
     # 21 = 1 mod 5, 0 mod 7;  15 = 0 mod 5, 1 mod 7
     W = (21 * s5[:, None, :] + 15 * s7[None, :, :]).reshape(-1, 5) % 35
     assert len(W) == 725 * 2695

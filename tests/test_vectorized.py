@@ -52,7 +52,8 @@ def test_all_forms_enumeration():
 
 def test_singular_sets():
     for p in (5, 7, 11, 13):
-        sing = singular_coeff_array(p)
+        assert singular_coeff_array(p).dtype == np.uint8
+        sing = singular_coeff_array(p).astype(np.int64)  # cast before arithmetic
         assert len(sing) == p**4 + p**3 - p**2
         i, j = invariants_raw(tuple(sing.T))
         assert not np.any((4 * i**3 - j * j) % p)
@@ -69,15 +70,16 @@ def test_singular_sets():
 
 
 def test_singular_sets_pinned():
-    # the sets past test_singular_sets' brute filter, pinned by sha256; the
-    # cache keeps the last set only
+    # the sets past test_singular_sets' brute filter, pinned by the sha256
+    # of their int64 cast; the cache keeps the last set only
     pinned = {
         17: "be6df1bec73737fc0910d62e20d6af04fdb1a4ebe7da4e3924b2e049fbb91c95",
         19: "60abde656a4423ba959879608f1b902d105336f363c9e70c1a79ea775c04991c",
         23: "8fa8b5c076f010b8303ba9686902a9fcc81a6b536d8526c47acac44e04b8e855",
     }
     for p, digest in pinned.items():
-        assert hashlib.sha256(singular_coeff_array(p).tobytes()).hexdigest() == digest
+        wide = singular_coeff_array(p).astype(np.int64)
+        assert hashlib.sha256(wide.tobytes()).hexdigest() == digest
         assert singular_coeff_array.cache_info().currsize == 1
 
 
@@ -101,19 +103,23 @@ def test_singular_set_checks_its_size(monkeypatch, wrong):
 
 
 def test_oracle_size_bound(monkeypatch):
-    # the singular set takes about 85 p^4 bytes: 1.6 GiB at p = 67, 2.0 GiB
-    # at p = 71; the pairing table about 31 p^6: 1.4 GiB at p = 19, 4.3 GiB
+    # the singular set takes about 22 p^4 bytes: 1.8 GiB at p = 97, 2.1 GiB
+    # at p = 101; the pairing table about 31 p^6: 1.4 GiB at p = 19, 4.3 GiB
     # at p = 23, where the rule takes it from 268,668 forms (268,668 *
     # 291,479 >= 23^8) and leaves 268,667 on the direct path
     def unreachable(*args):
         raise AssertionError("allocation reached")
 
     monkeypatch.setattr(vectorized, "_pairing_table", unreachable)
-    for p, forms in ((19, 19**5), (67, 200), (23, 268_667)):
+    for p, forms in ((19, 19**5), (97, 200), (23, 268_667)):
         vectorized.check_oracle_size(p, forms)
-    for p, forms in ((23, 23**5), (23, 268_668), (71, 1)):
+    for p, forms in ((23, 23**5), (23, 268_668), (101, 1)):
         with pytest.raises(ValueError, match="past 2 GiB"):
             vectorized.check_oracle_size(p, forms)
+    # the build itself refuses p = 101 before it computes any invariant
+    monkeypatch.setattr(vectorized, "invariants_raw", unreachable)
+    with pytest.raises(ValueError, match="singular set at p=101"):
+        singular_coeff_array.__wrapped__(101)
     # and _table_rows itself, for any row set, before the table is built
     rows = np.broadcast_to(np.zeros(5, dtype=np.int64), (23**4, 5))
     with pytest.raises(ValueError, match="pairing table at p=23"):
@@ -139,6 +145,20 @@ def test_trace_table():
                     continue
                 assert t[i, j] == p + 1 - eprime_count(p, i, j)
                 assert t[i, j] ** 2 <= 4 * p
+
+
+def test_trace_table_at_a_large_prime():
+    # the float32 character sums against the scalar point count of
+    # y^2 = x^3 - 3i x^2 + j^2 at p = 1009, on seeded nonsingular cells
+    from quartics.elliptic import WeierstrassCurve, point_count
+
+    p = 1009
+    t = trace_table(p)
+    cells = np.random.default_rng(p).integers(0, p, size=(40, 2)).tolist()
+    cells = [(i, j) for i, j in cells if j and (4 * i**3 - j * j) % p]
+    assert len(cells) >= 30
+    for i, j in cells:
+        assert t[i, j] == p + 1 - point_count(WeierstrassCurve(0, -3 * i, 0, j * j, p))
 
 
 def test_proportional_reads_every_minor():
@@ -233,19 +253,42 @@ def test_pairing_table_matches_direct(monkeypatch, p):
     default = vectorized._CHUNK_ENTRIES
     for r in sets:
         table = vectorized._pairing_table(p, r)
-        # on a prefix of the forms, one form per chunk, and a budget of 10^4
-        # entries, whose chunks of 3 to 322 forms leave a ragged last chunk
-        # of the first 1000; then all forms at the default budget, which
-        # the gather below runs at too
-        for budget, k in ((1, 300), (10**4, 1000), (default, len(forms))):
+        # both direct kernels, the table rule switched off, on a prefix of
+        # the forms: one-row tiles of one form and of three (a ragged last
+        # chunk); tiles of 13 rows, which divides none of the eight row
+        # counts, with 8 forms a chunk; a budget of 10^4, whose tiles of
+        # 1,250 rows hold the whole set at p = 5 and leave a ragged last
+        # tile at p = 7; then all forms at the default budget, which the
+        # gather below runs at too
+        for budget, k in ((1, 4), (3, 10), (104, 200), (10**4, 1000), (default, len(forms))):
             monkeypatch.setattr(vectorized, "_CHUNK_ENTRIES", budget)
             assert np.array_equal(table[:k], vectorized._fibre_product(p, r, forms[:k]))
+            with monkeypatch.context() as direct:
+                direct.setattr(vectorized, "_table_rows", lambda *args: None)
+                zeros = kernel(p, r, forms[:k])
+            assert np.array_equal(table[:k, 0], zeros)
     assert table[0, 0] == len(rows)  # the zero form pairs every row to 0, repeats counted
-    # the gather, on forms out of order
+    # the gather, on forms out of order, over chunks of forms
     shuffled = np.random.default_rng(p).permutation(forms)
     assert np.array_equal(
-        vectorized._table_rows(p, rows, shuffled), vectorized._fibre_product(p, rows, shuffled)
+        vectorized._table_rows(p, rows, shuffled),
+        vectorized._fold(vectorized._fibre_product(p, rows, shuffled)),
     )
+
+
+@pytest.mark.parametrize("p", [5, 11])
+def test_oracle_reads_the_set_as_any_integer_rows(monkeypatch, p):
+    # the uint8 singular set and its int64 cast give the same oracle and
+    # #X^f: all forms through the table at p = 5, 200 direct at p = 11
+    if p == 5:
+        forms = all_forms_array(p)
+    else:
+        forms = np.random.default_rng(p).integers(0, p, size=(200, 5), dtype=np.int64)
+    narrow = oracle_n_batch(p, forms), count_xf_batch(p, forms)
+    wide = singular_coeff_array(p).astype(np.int64)
+    monkeypatch.setattr(vectorized, "singular_coeff_array", lambda q: wide)
+    assert np.array_equal(narrow[0], oracle_n_batch(p, forms))
+    assert np.array_equal(narrow[1], count_xf_batch(p, forms))
 
 
 def test_pairing_table_checks_mass(monkeypatch):
