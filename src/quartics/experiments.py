@@ -44,7 +44,7 @@ from .forms import (
 )
 from .elliptic import S_MODULUS
 from .intfactor import factorize, primes_below
-from .vectorized import _PRIME_TABLES, check_memory, chi_array, closed_n_batch, proportional
+from .vectorized import check_memory, chi_array, closed_n_batch, prime_table_bytes, proportional
 
 __all__ = [
     "F0",
@@ -115,8 +115,8 @@ def box_sum(Q: int, r: int) -> BoxSumResult:
     per box point at r = 12 (Q = 20 to 160, s = 2 to 16), 16 and 18 (Q =
     80, s = 9), set in the prime loop as those vectors pile up (the
     representatives' build reached 13).  Beside it the per-prime caches
-    hold up to _PRIME_TABLES primes' tables, about 17 p^2 bytes each.  A
-    box or caches past 2 GiB raise ValueError before the sweep.
+    reach prime_table_bytes.  A box and caches past 2 GiB raise ValueError
+    before the sweep.
     """
     if r < 1:
         raise ValueError("positive half-width required")
@@ -125,8 +125,7 @@ def box_sum(Q: int, r: int) -> BoxSumResult:
     qs = _squarefree_moduli(Q, 2 * Q)
     q_parts = {q: sorted(p for p in factorize(q).factors if p > 3) for q in qs}
     shared = {p for ps in q_parts.values() if len(ps) > 1 for p in ps}
-    primes = {p for ps in q_parts.values() for p in ps}
-    tables = min(_PRIME_TABLES, len(primes)) * 17 * max(primes, default=0) ** 2
+    tables = prime_table_bytes({p for ps in q_parts.values() for p in ps})
     check_memory((17 + len(shared)) * (2 * r + 1) ** 5 + tables, f"the box sum at Q={Q}, r={r}")
     slabs = [(np.stack(cols, axis=1), w) for _, cols, w in _orbit_slabs(r, negate=True)]
     reps = np.concatenate([rows for rows, _ in slabs])

@@ -13,10 +13,11 @@ agreement is itself part of the test suite.
 
 Memory discipline: the direct kernels walk their rows in tiles
 (_pairing_products) inside one buffer budget, allocated once per call: a
-product of at most _CHUNK_ENTRIES (2^16) entries, float32 for the fibres
-and float64 for the zero pairings, its int64 or int32 cast, and one
-weighted tile of _CHUNK_ENTRIES / 8 rows; a fibre histogram has k*m bins
-for k forms, m < 5p^2 + p.  No full-length copy of the rows is made.
+product of at most _CHUNK_ENTRIES / 8 (2^16) entries, float32 for the
+fibres and float64 for the zero pairings, its int64 or int32 cast, and one
+weighted tile of 2^13 rows, or 2m for the fibres if more; a fibre
+histogram has k*m bins for k forms, m < 5p^2 + p, at most half its
+product's entries.  No full-length copy of the rows is made.
 Beyond those, memory is the size of the inputs and outputs: a row set
 (p^5 x 5 for all_forms_array, a (2r+1)^5 x 5 box), a few form-length
 vectors, and the one cached singular set of about p^4 uint8 rows, 5 B
@@ -52,6 +53,7 @@ from .forms import disc27, form_product, hessian_mod, invariants_raw
 __all__ = [
     "check_memory",
     "check_oracle_size",
+    "prime_table_bytes",
     "singular_coeff_array",
     "all_forms_array",
     "chi_array",
@@ -66,13 +68,12 @@ __all__ = [
     "box_coeff_array",
 ]
 
-_CHUNK_ENTRIES = 1 << 16  # entries per pairing or fibre-product chunk
+_CHUNK_ENTRIES = 1 << 19  # entries per pairing or fibre-product chunk
 _PAIRING_WEIGHTS = np.array([12, 3, 2, 3, 12], dtype=np.int64)  # forms.pairing12's
 # Per-prime tables cached: the 35 primes 5..157 that divide the moduli of
 # box_sum(80, r), the largest Q of the box-sum grid.  A trace_table holds
 # 8p^2 B and a _case_tables pair 9p^2 B (at p = 157, 4.5 MB for all 35 of
-# both); a chi_array holds 8p B.  box_sum refuses a Q whose caches would
-# pass 2 GiB.
+# both); a chi_array holds 8p B.  prime_table_bytes bounds what they reach.
 _PRIME_TABLES = 35
 
 
@@ -87,6 +88,15 @@ def check_memory(nbytes: int, what: str) -> None:
     """Raise ValueError when a stage's estimated peak, nbytes, passes 2 GiB."""
     if nbytes > 2**31:
         raise ValueError(f"{what} needs about {nbytes / 2**30:.1f} GiB, past 2 GiB")
+
+
+def prime_table_bytes(primes) -> int:
+    """Bytes the per-prime caches can reach over a sweep of these primes,
+    counted at the largest: 17 p^2 for each of up to _PRIME_TABLES primes
+    kept while one more is built, whose build VmHWM read at 38 to 46 p^2
+    at p = 1009 to 2003, its kept tables included."""
+    kept = min(_PRIME_TABLES, len(primes) - 1)
+    return (17 * kept + 46) * max(primes) ** 2 if primes else 0
 
 
 def check_oracle_size(p: int, forms: int = 0) -> None:
@@ -257,14 +267,17 @@ def _pairing_products(p: int, rows: np.ndarray, forms: np.ndarray, dtype, itype,
     Each tile of rows is reduced mod p as it is cast (exact for any integer
     row), weighted by _PAIRING_WEIGHTS mod p into one dtype buffer, with a
     ones row that meets the forms' offset column k*m when m is given.  A
-    tile holds an eighth of _CHUNK_ENTRIES rows, or all of them if fewer,
-    and a chunk as many forms as keep the product within _CHUNK_ENTRIES
-    entries, at least one and, when m is given, at most 2^24 / m: one dtype
-    BLAS product and its itype cast, in buffers allocated once.  The caller
-    checks that dtype holds every entry exactly."""
+    tile holds _CHUNK_ENTRIES / 64 rows (2^13), or 2m if more, so that a
+    histogram of k*m bins costs at most half the product, or all rows if
+    fewer.  A chunk holds as many forms as keep the product within
+    _CHUNK_ENTRIES / 8 entries, at least one and, when m is given, at most
+    2^24 / m.  Each is one dtype BLAS product and its itype cast, in
+    buffers allocated once.  The caller checks that dtype holds every entry
+    exactly."""
     n, total = len(rows), len(forms)
-    tile = max(1, min(n, _CHUNK_ENTRIES // 8))
-    step = max(1, min(_CHUNK_ENTRIES // tile, total, 2**24 // m if m else total))
+    budget = _CHUNK_ENTRIES // 8
+    tile = max(1, min(n, max(budget // 8, 2 * m)))
+    step = max(1, min(budget // tile, total, 2**24 // m if m else total))
     cols = np.empty((total, 6 if m else 5), dtype=dtype)
     cols[:, :5] = forms
     if m:

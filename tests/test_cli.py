@@ -246,7 +246,7 @@ def test_experiment_size_bounds_at_their_edges(monkeypatch):
     monkeypatch.setattr(experiments, "_orbit_slabs", sweep)
     for run, ok, big in (
         (lambda r: experiments.box_sum(80, r), 18, 19),
-        (lambda q: experiments.box_sum(q, 1), 950, 951),  # the cached prime tables
+        (lambda q: experiments.box_sum(q, 1), 915, 916),  # the cached prime tables
         (experiments.singular_lattice_count, 35, 36),
     ):
         with pytest.raises(Reached):

@@ -254,14 +254,16 @@ def test_pairing_table_matches_direct(monkeypatch, p):
     for r in sets:
         table = vectorized._pairing_table(p, r)
         # both direct kernels, the table rule switched off, on a prefix of
-        # the forms: one-row tiles of one form and of three (a ragged last
-        # chunk); tiles of 13 rows, which divides none of the eight row
-        # counts, with 8 forms a chunk; a budget of 10^4, whose tiles of
-        # 1,250 rows hold the whole set at p = 5 and leave a ragged last
-        # tile at p = 7; then all forms at the default budget, which the
-        # gather below runs at too
-        for budget, k in ((1, 4), (3, 10), (104, 200), (10**4, 1000), (default, len(forms))):
-            monkeypatch.setattr(vectorized, "_CHUNK_ENTRIES", budget)
+        # the forms, at products of 1, 3, 104 and 10^4 entries, then all
+        # forms at the default, which the gather below runs at too.  The
+        # zero pairings take one-row tiles of one form and of three (a
+        # ragged last chunk), then tiles of 13 rows, which divides none of
+        # the eight row counts, with 8 forms a chunk.  The fibres take
+        # tiles of 2m rows (170 at p = 5, 364 at p = 7, ragged at the end)
+        # of one form.  At 10^4, tiles of 1,250 rows hold the whole set at
+        # p = 5 and leave a ragged last tile at p = 7.
+        for budget, k in ((1, 4), (3, 10), (104, 200), (10**4, 1000), (default // 8, len(forms))):
+            monkeypatch.setattr(vectorized, "_CHUNK_ENTRIES", 8 * budget)
             assert np.array_equal(table[:k], vectorized._fibre_product(p, r, forms[:k]))
             with monkeypatch.context() as direct:
                 direct.setattr(vectorized, "_table_rows", lambda *args: None)
@@ -402,9 +404,9 @@ def test_scheme_counts_batch_x122_exhaustive(p):
 @pytest.mark.parametrize("budget", [1, 100])
 @pytest.mark.parametrize("p", [5, 7])
 def test_zero_pairings_across_chunk_edges(monkeypatch, p, budget):
-    # 100 entries hold two or three forms' worth of the X_{1^2 1^2} and
-    # X_{2^2} rows at p = 5 but less than the singular set, so
-    # count_xf_batch runs one form per chunk; budget 1 does that everywhere
+    # at 100 entries scheme_counts_batch takes 16 and 12 forms a chunk (p =
+    # 5 and 7) and the pairing kernels one-row tiles of 12 forms; budget 1
+    # takes one form and one row at a time everywhere
     monkeypatch.setattr(vectorized, "_CHUNK_ENTRIES", budget)
     rng = np.random.default_rng(budget + p)
     forms = rng.integers(0, p, size=(9, 5), dtype=np.int64)
