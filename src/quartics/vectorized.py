@@ -13,17 +13,17 @@ agreement is itself part of the test suite.
 
 Memory discipline: the direct kernels walk their rows in tiles
 (_pairing_products) inside one buffer budget, allocated once per call: a
-product of at most _CHUNK_ENTRIES / 8 (2^16) entries, float32 for the
-fibres and float64 for the zero pairings, its int64 or int32 cast, and one
-weighted tile of 2^13 rows, or 2m for the fibres if more; a fibre
-histogram has k*m bins for k forms, m < 5p^2 + p, at most half its
-product's entries.  No full-length copy of the rows is made.
-Beyond those, memory is the size of the inputs and outputs: a row set
-(p^5 x 5 for all_forms_array, a (2r+1)^5 x 5 box), a few form-length
-vectors, and the one cached singular set of about p^4 uint8 rows, 5 B
-each (0.7 MB at p = 19), written slab by slab into one preallocated array
-beside p^4-entry grids: four uint8, one uint16.  So the set's build sets
-an oracle query's peak, which check_oracle_size bounds at 22 p^4 bytes.
+product of at most _CHUNK_ENTRIES / 8 (2^16) entries, or one form's 2m
+if more, float32 for the fibres and float64 for the zero pairings, its
+int64 or int32 cast, and one weighted tile of 2^13 rows, or 2m for the
+fibres if more; a fibre histogram has k*m bins for k forms, m < 5p^2 + p.
+No full-length copy of the rows is made.  Beyond those, memory is the
+size of the inputs and outputs: a row set (p^5 x 5 for all_forms_array,
+a (2r+1)^5 x 5 box), a few form-length vectors, and the one cached
+singular set of about p^4 uint8 rows, 5 B each (0.7 MB at p = 19),
+written slab by slab into one preallocated array beside p^4-entry grids:
+four uint8, one uint16.  So the set's build sets an oracle query's peak,
+which check_oracle_size bounds at 22 p^4 bytes.
 
 The pairing table (_pairing_table) holds the fibres of every one of the
 p^5 forms at once: p^6 float64 entries, 0.9 MB at p = 7, 14 MB at p = 11
@@ -268,8 +268,8 @@ def _pairing_products(p: int, rows: np.ndarray, forms: np.ndarray, dtype, itype,
     row), weighted by _PAIRING_WEIGHTS mod p into one dtype buffer, with a
     ones row that meets the forms' offset column k*m when m is given.  A
     tile holds _CHUNK_ENTRIES / 64 rows (2^13), or 2m if more, so that a
-    histogram of k*m bins costs at most half the product, or all rows if
-    fewer.  A chunk holds as many forms as keep the product within
+    histogram of k*m bins costs at most half a full tile's product, or all
+    rows if fewer.  A chunk holds as many forms as keep the product within
     _CHUNK_ENTRIES / 8 entries, at least one and, when m is given, at most
     2^24 / m.  Each is one dtype BLAS product and its itype cast, in
     buffers allocated once.  The caller checks that dtype holds every entry
